@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr
+from .expr import Expr, partials
 from .geometry import (
     GeodesicTrajectory,
     ManifoldSpec,
@@ -30,8 +30,10 @@ from .submersion import (
     SmoothMap,
     SubmersionError,
     _directional_derivative,
+    _fix_sign,
     build_frame,
     fiber_character,
+    frame_at,
     tensor_A,
     tensor_T,
 )
@@ -99,12 +101,6 @@ class SplitResult:
     mu_frame: np.ndarray
     vertical_residual: float
     phiker_residual: float
-
-
-def _fix_sign(row: np.ndarray) -> np.ndarray:
-    mags = np.abs(row)
-    idx = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
-    return -row if row[idx] < 0.0 else row
 
 
 def mu_basis(sc: ClairautScenario, fr: Frame) -> np.ndarray:
@@ -234,7 +230,8 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     sin_theta = np.empty(len(traj))
     invariant = np.empty(len(traj))
     for i, (p, v) in enumerate(zip(traj.points, traj.velocities)):
-        fr = build_frame(sc.F, p)
+        # Trajectory points are not revisited, so they bypass the frame memo.
+        fr = frame_at(sc.F, p)
         speed = metric_norm(fr.metric, v)
         if speed < 1e-12:
             raise ValueError("curve is not regular: zero velocity sample")
@@ -445,14 +442,12 @@ def check_thm33_identity(
     mu_max = 0.0
     horiz_max = 0.0
     basic_max = 0.0
-    m = sc.M.dim
-    df = tuple(sc.f.diff(i + 1) for i in range(m))
     for p in samples:
         fr = build_frame(sc.F, p)
         gamma = christoffel(sc.M, p)
         g = fr.metric
         mu = mu_basis(sc, fr)
-        dfv = np.array([e.eval(p) for e in df])
+        dfv = partials(sc.f, sc.M.dim).eval(p)
         for k, W in enumerate(fr.vertical):
             basic_max = max(basic_max, _basic_residual(sc, p, fr, k))
             phiW = apply_phi(sc.J, p, W)

@@ -6,12 +6,16 @@ four arithmetic operators, and ``^`` with a constant exponent.  They can be
 parsed from strings, evaluated at points, differentiated exactly, and
 printed back to a re-parseable form.  Every geometric object in this
 package (metrics, complex structures, maps, Clairaut exponents) is a tree
-or an array of trees.
+or an array of trees; an :class:`ExprArray` evaluates such an array through
+one compiled function, with the per-node ``eval`` methods as its reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -251,6 +255,8 @@ class Pow(Expr):
             return math.pow(b, c)
         except ValueError:
             raise DomainError("negative base with non-integer exponent", self) from None
+        except OverflowError:
+            raise DomainError("power overflows", self) from None
 
     def diff(self, index: int) -> Expr:
         c = self.exponent
@@ -318,7 +324,10 @@ class Func(Expr):
                 raise DomainError("logarithm of a non-positive value", self)
             return math.log(v)
         if self.name == "exp":
-            return math.exp(v)
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise DomainError("exponential overflows", self) from None
         if self.name == "sin":
             return math.sin(v)
         return math.cos(v)
@@ -346,6 +355,130 @@ _FUNCTIONS = ("sqrt", "ln", "exp", "sin", "cos")
 def is_zero(e: Expr) -> bool:
     """Structural test for the literal zero constant (no simplification)."""
     return isinstance(e, Const) and e.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation of expression arrays
+# ---------------------------------------------------------------------------
+
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
+_COMPILED_GLOBALS = {
+    "_float": float,
+    "_pow": math.pow,
+    "_sqrt": math.sqrt,
+    "_ln": math.log,
+    "_exp": math.exp,
+    "_sin": math.sin,
+    "_cos": math.cos,
+}
+
+
+class ExprArray:
+    """Nested array of expressions evaluated by one compiled function.
+
+    ``eval`` returns a float array of the nesting's shape, equal bit for bit
+    to evaluating each entry with ``Expr.eval``.  The function is generated
+    at the first evaluation: straight-line Python that computes each
+    structurally distinct subexpression once, with the same float operation
+    per node.  If it raises, the entries are evaluated again by the per-node
+    walk, which raises the reference error (a :class:`DomainError` naming
+    the first singular node).  An array of constants is stored instead.
+    """
+
+    __slots__ = ("entries", "shape", "_const", "_fn")
+
+    def __init__(self, nested):
+        entries = []
+        self.shape = _flatten(nested, entries)
+        self.entries = tuple(entries)
+        self._fn = None
+        self._const = None
+        if all(isinstance(e, Const) for e in self.entries):
+            const = np.array([e.value for e in self.entries]).reshape(self.shape)
+            const.flags.writeable = False
+            self._const = const
+
+    def eval(self, point) -> np.ndarray:
+        if self._const is not None:
+            return self._const
+        if self._fn is None:
+            self._fn = _compile(self.entries)
+        try:
+            values = self._fn(point)
+        except (ArithmeticError, ValueError):
+            values = [e.eval(point) for e in self.entries]
+        return np.array(values).reshape(self.shape)
+
+
+def _flatten(nested, entries: list) -> tuple:
+    """Append the entries of ``nested`` to ``entries``; return its shape."""
+    if isinstance(nested, Expr):
+        entries.append(nested)
+        return ()
+    shapes = {_flatten(item, entries) for item in nested}
+    if len(shapes) > 1:
+        raise ValueError("ragged expression array")
+    return (len(nested),) + (shapes.pop() if shapes else ())
+
+
+def _compile(entries):
+    """Straight-line function of a point returning the tuple of entry values."""
+    lines = []
+    names = {}  # structural key -> variable holding that subexpression
+    constants = {}
+
+    def operand(e) -> str:
+        guard = None
+        if isinstance(e, Const):
+            if math.isfinite(e.value):
+                return f"({e.value!r})"
+            name = f"_c{len(constants)}"
+            constants[name] = e.value
+            return name
+        if isinstance(e, Var):
+            key = e.index
+            code = f"_float(p[{e.index - 1}])"
+        elif isinstance(e, Div):
+            # Denominator first, as in Div.eval.
+            b = operand(e.b)
+            key = (Div, operand(e.a), b)
+            code = f"{key[1]} / {b}"
+        elif isinstance(e, _Binary):
+            key = (type(e), operand(e.a), operand(e.b))
+            code = f"{key[1]} {_BINARY_OPS[type(e)]} {key[2]}"
+        elif isinstance(e, Pow):
+            key = (Pow, operand(e.base), operand(Const(e.exponent)))
+            code = f"_pow({key[1]}, {key[2]})"
+            if e.exponent < 0.0:
+                # Pow.eval rejects a zero base itself: math.pow(0, -inf) is inf.
+                guard = f"if {key[1]} == 0.0: raise ZeroDivisionError"
+        elif isinstance(e, Neg):
+            key = (Neg, operand(e.a))
+            code = f"-{key[1]}"
+        elif isinstance(e, Func):
+            key = (e.name, operand(e.arg))
+            code = f"_{e.name}({key[1]})"
+        else:
+            raise TypeError(f"cannot compile {type(e).__name__}")
+        name = names.get(key)
+        if name is None:
+            name = names[key] = f"t{len(names)}"
+            if guard is not None:
+                lines.append(f"    {guard}")
+            lines.append(f"    {name} = {code}")
+        return name
+
+    results = [operand(e) for e in entries]
+    source = "def _f(p):\n" + "\n".join(lines) + f"\n    return ({', '.join(results)},)\n"
+    namespace = dict(_COMPILED_GLOBALS, **constants)
+    exec(compile(source, "<ExprArray>", "exec"), namespace)
+    return namespace["_f"]
+
+
+@functools.lru_cache(maxsize=32)
+def partials(e: Expr, dim: int) -> ExprArray:
+    """The ``dim`` exact partial derivatives of ``e`` as one array (memoized)."""
+    return ExprArray(tuple(e.diff(i + 1) for i in range(dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, Const, is_zero, parse
+from .expr import Expr, ExprArray, Const, is_zero, parse, partials
 
 RANK_RTOL = 1e-8
 _MAX_SAMPLE_TRIES = 10_000
@@ -108,32 +108,24 @@ class ManifoldSpec:
         self.dim = dim
         self.metric = tuple(tuple(row) for row in metric)
         self.domain = domain
+        self._metric = ExprArray(self.metric)
         # derivs[l][i][j] = d/dx_{l+1} of g_ij
-        self._derivs = tuple(
-            tuple(tuple(e.diff(l + 1) for e in row) for row in self.metric)
-            for l in range(dim)
-        )
-        self.is_flat_constant = all(
-            is_zero(e) for layer in self._derivs for row in layer for e in row
-        )
-        self._const_metric = None
-        if all(isinstance(e, Const) for row in self.metric for e in row):
-            self._const_metric = np.array(
-                [[e.value for e in row] for row in self.metric]
+        self._derivs = ExprArray(
+            tuple(
+                tuple(tuple(e.diff(l + 1) for e in row) for row in self.metric)
+                for l in range(dim)
             )
+        )
+        self.is_flat_constant = all(is_zero(e) for e in self._derivs.entries)
+        # A constant metric is checked for invertibility once (christoffel).
+        self._invertible = False
 
     def metric_at(self, point) -> np.ndarray:
-        if self._const_metric is not None:
-            return self._const_metric
-        p = np.asarray(point, dtype=float)
-        return np.array([[e.eval(p) for e in row] for row in self.metric])
+        return self._metric.eval(np.asarray(point, dtype=float))
 
     def metric_derivs_at(self, point) -> np.ndarray:
         """Array ``D[l, i, j] = d g_ij / d x_{l+1}`` at ``point``."""
-        p = np.asarray(point, dtype=float)
-        return np.array(
-            [[[e.eval(p) for e in row] for row in layer] for layer in self._derivs]
-        )
+        return self._derivs.eval(np.asarray(point, dtype=float))
 
     def inverse_metric_at(self, point) -> np.ndarray:
         g = self.metric_at(point)
@@ -164,6 +156,7 @@ class VectorField:
     def __init__(self, components):
         self.components = tuple(components)
         self.dim = len(self.components)
+        self._values = ExprArray(self.components)
         # jac[k][i] = d X^{k+1} / d x_{i+1}, built lazily
         self._jac = None
 
@@ -181,17 +174,18 @@ class VectorField:
         return cls.constant([1.0 if i == index - 1 else 0.0 for i in range(dim)])
 
     def at(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        return np.array([c.eval(p) for c in self.components])
+        return self._values.eval(np.asarray(point, dtype=float))
 
     def jacobian_at(self, point) -> np.ndarray:
         """Array ``J[k, i] = d X^{k+1} / d x_{i+1}`` at ``point``."""
         if self._jac is None:
-            self._jac = tuple(
-                tuple(c.diff(i + 1) for i in range(self.dim)) for c in self.components
+            self._jac = ExprArray(
+                tuple(
+                    tuple(c.diff(i + 1) for i in range(self.dim))
+                    for c in self.components
+                )
             )
-        p = np.asarray(point, dtype=float)
-        return np.array([[e.eval(p) for e in row] for row in self._jac])
+        return self._jac.eval(np.asarray(point, dtype=float))
 
 
 def _field_value(X, point) -> np.ndarray:
@@ -209,10 +203,13 @@ def metric_norm(g: np.ndarray, v: np.ndarray) -> float:
 def christoffel(M: ManifoldSpec, point) -> np.ndarray:
     """Connection coefficients ``G[k, i, j]`` of the Levi-Civita connection."""
     p = np.asarray(point, dtype=float)
+    if M.is_flat_constant:
+        if not M._invertible:
+            _check_invertible(M.metric_at(p), p)
+            M._invertible = True
+        return np.zeros((M.dim, M.dim, M.dim))
     g = M.metric_at(p)
     _check_invertible(g, p)
-    if M.is_flat_constant:
-        return np.zeros((M.dim, M.dim, M.dim))
     ginv = np.linalg.inv(g)
     D = M.metric_derivs_at(p)  # D[l, i, j] = d_l g_ij
     # B[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -279,8 +276,7 @@ def covariant_derivative(M: ManifoldSpec, X, Y: VectorField, point) -> np.ndarra
 def gradient(M: ManifoldSpec, f: Expr, point) -> np.ndarray:
     """Metric gradient: components ``g^{kj} d_j f`` at ``point``."""
     p = np.asarray(point, dtype=float)
-    df = np.array([f.diff(i + 1).eval(p) for i in range(M.dim)])
-    return M.inverse_metric_at(p) @ df
+    return M.inverse_metric_at(p) @ partials(f, M.dim).eval(p)
 
 
 @dataclass

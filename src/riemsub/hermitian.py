@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Const, is_zero
+from .expr import ExprArray
 from .geometry import ManifoldSpec, _field_value, christoffel, metric_norm
 from .report import CheckReport
 
@@ -25,32 +25,21 @@ class AlmostComplexField:
         self.dim = len(self.entries)
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("phi matrix must be square")
-        self._const = None
-        if all(isinstance(e, Const) for row in self.entries for e in row):
-            self._const = np.array([[e.value for e in row] for row in self.entries])
+        self._matrix = ExprArray(self.entries)
         # dentries[l][i][j] = d phi^i_j / d x_{l+1}
-        self._dentries = tuple(
-            tuple(tuple(e.diff(l + 1) for e in row) for row in self.entries)
-            for l in range(self.dim)
-        )
-        self._parallel_constant = all(
-            is_zero(e) for layer in self._dentries for row in layer for e in row
+        self._dentries = ExprArray(
+            tuple(
+                tuple(tuple(e.diff(l + 1) for e in row) for row in self.entries)
+                for l in range(self.dim)
+            )
         )
 
     def matrix_at(self, point) -> np.ndarray:
-        if self._const is not None:
-            return self._const
-        p = np.asarray(point, dtype=float)
-        return np.array([[e.eval(p) for e in row] for row in self.entries])
+        return self._matrix.eval(np.asarray(point, dtype=float))
 
     def derivs_at(self, point) -> np.ndarray:
         """Array ``D[l, i, j] = d phi^i_j / d x_{l+1}`` at ``point``."""
-        if self._parallel_constant:
-            return np.zeros((self.dim, self.dim, self.dim))
-        p = np.asarray(point, dtype=float)
-        return np.array(
-            [[[e.eval(p) for e in row] for row in layer] for layer in self._dentries]
-        )
+        return self._dentries.eval(np.asarray(point, dtype=float))
 
 
 def apply_phi(J: AlmostComplexField, point, v) -> np.ndarray:

@@ -10,21 +10,29 @@ The two fundamental tensors are evaluated from their defining formulas
     T_E F = H nabla_{VE}(VF) + V nabla_{VE}(HF)
     A_E F = H nabla_{HE}(VF) + V nabla_{HE}(HF)
 
-where the projected fields VF, HF are realized by re-projecting at
+analytically: the derivative of the projected field VF is that of the
+vertical projector, in closed form from the map's Hessian and the metric
+derivatives, applied to F, plus the projected symbolic derivative of F.
+Both tensors are tensorial in their arguments, so constant extensions of
+pointwise vectors are valid inputs.
+
+Finite differences remain only in the oracles: ``check_decompositions``
+compares the tensors with covariant derivatives of fields re-projected at
 displaced points (frames recomputed there) and differentiated with a
-five-point stencil; both tensors are tensorial in their arguments, so
-constant extensions of pointwise vectors are valid inputs.  Projections
-only use the projector onto the span, never a basis-vector identification
-across nearby points, which keeps the differentiation stable.
+five-point stencil.  Those projections only use the projector onto the
+span, never a basis-vector identification across nearby points, which
+keeps the differentiation stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr import ExprArray
 from .geometry import (
+    RANK_RTOL,
     ManifoldSpec,
     VectorField,
     _field_value,
@@ -35,7 +43,6 @@ from .geometry import (
 from .report import CheckReport
 
 FD_STEP = 1e-5
-RANK_RTOL = 1e-8
 
 
 class SubmersionError(Exception):
@@ -64,33 +71,32 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.components = tuple(components)
-        m, n = source.dim, target.dim
+        m = source.dim
+        self._values = ExprArray(self.components)
         self._jac = tuple(
             tuple(c.diff(i + 1) for i in range(m)) for c in self.components
         )
+        self._jac_values = ExprArray(self._jac)
         self._hess = None  # built lazily; [a][i][j] = d_j d_i comp_a
         self._frame_cache = {}
 
     def map_point(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        return np.array([c.eval(p) for c in self.components])
+        return self._values.eval(np.asarray(point, dtype=float))
 
     def jacobian_at(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        return np.array([[e.eval(p) for e in row] for row in self._jac])
+        return self._jac_values.eval(np.asarray(point, dtype=float))
 
     def jacobian_derivs_at(self, point) -> np.ndarray:
         """Array ``H[a, i, j] = d_j d_i (component a)`` at ``point``."""
         if self._hess is None:
             m = self.source.dim
-            self._hess = tuple(
-                tuple(tuple(e.diff(j + 1) for j in range(m)) for e in row)
-                for row in self._jac
+            self._hess = ExprArray(
+                tuple(
+                    tuple(tuple(e.diff(j + 1) for j in range(m)) for e in row)
+                    for row in self._jac
+                )
             )
-        p = np.asarray(point, dtype=float)
-        return np.array(
-            [[[e.eval(p) for e in row] for row in layer] for layer in self._hess]
-        )
+        return self._hess.eval(np.asarray(point, dtype=float))
 
 
 def differential(F: SmoothMap, point) -> np.ndarray:
@@ -106,6 +112,8 @@ class Frame:
     metric: np.ndarray
     vertical: np.ndarray  # (m - n, m) rows, g-orthonormal
     horizontal: np.ndarray  # (n, m) rows, g-orthonormal
+    # dP[l] = d(vertical projector)/d x_{l+1}, built on first tensor use
+    projector_derivs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def vertical_part(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -149,17 +157,9 @@ def _null_space_rows(A: np.ndarray, expected_rank: int, point) -> np.ndarray:
     return vt[rank:]
 
 
-def build_frame(F: SmoothMap, point) -> Frame:
-    """Orthonormal vertical and horizontal bases at ``point``.
-
-    Frames are memoized per map and exact point, since the stencil-based
-    tensor evaluations revisit the same displaced points many times.
-    """
+def frame_at(F: SmoothMap, point) -> Frame:
+    """Orthonormal vertical and horizontal bases at ``point`` (not memoized)."""
     p = np.asarray(point, dtype=float)
-    key = p.tobytes()
-    cached = F._frame_cache.get(key)
-    if cached is not None:
-        return cached
     A = F.jacobian_at(p)
     g = F.source.metric_at(p)
     n = F.target.dim
@@ -169,7 +169,21 @@ def build_frame(F: SmoothMap, point) -> Frame:
     # the Jacobian row space.
     comp = np.linalg.solve(g, A.T).T
     horizontal = _gram_schmidt_g(comp, g)
-    frame = Frame(point=p, metric=g, vertical=vertical, horizontal=horizontal)
+    return Frame(point=p, metric=g, vertical=vertical, horizontal=horizontal)
+
+
+def build_frame(F: SmoothMap, point) -> Frame:
+    """Memoized :func:`frame_at`, per map and exact point.
+
+    The finite-difference oracles and the trajectory windows of the
+    geodesic checks revisit the same points many times.
+    """
+    p = np.asarray(point, dtype=float)
+    key = p.tobytes()
+    cached = F._frame_cache.get(key)
+    if cached is not None:
+        return cached
+    frame = frame_at(F, p)
     if len(F._frame_cache) >= 8192:
         F._frame_cache.clear()
     F._frame_cache[key] = frame
@@ -230,25 +244,47 @@ def _covariant_projected(F, direction, Fld, p, gamma, part: str) -> np.ndarray:
     return d + np.einsum("kij,i,j->k", gamma, direction, w)
 
 
+def _projector_derivs(F: SmoothMap, fr: Frame) -> np.ndarray:
+    """``dP[l] = d P_V / d x_{l+1}`` at the frame's point, cached on the frame.
+
+    With ``K = G^-1`` and ``Z = (A K A^T)^-1 A`` for the Jacobian ``A``, the
+    vertical projector is ``P_V = I - K A^T Z``; differentiating through the
+    inverses (Golub & Pereyra 1973) gives
+
+        dP_V = -P_V K (dA^T Z - dG P_H) - K Z^T dA P_V
+
+    with ``dA`` from the map's Hessian and ``dG`` from the metric derivatives.
+    """
+    if fr.projector_derivs is None:
+        p, g = fr.point, fr.metric
+        A = F.jacobian_at(p)
+        K = np.linalg.inv(g)
+        Z = np.linalg.solve(A @ K @ A.T, A)
+        pv = fr.vertical.T @ fr.vertical @ g
+        H = F.jacobian_derivs_at(p)  # [a, i, l] = d_l A[a, i]
+        X = np.einsum("ail,aj->lij", H, Z)
+        if not F.source.is_flat_constant:
+            X = X - F.source.metric_derivs_at(p) @ (np.eye(len(p)) - pv)
+        fr.projector_derivs = -(pv @ K) @ X - (K @ Z.T) @ H.transpose(2, 0, 1) @ pv
+    return fr.projector_derivs
+
+
 def _oneill(F: SmoothMap, E, Fld, point, kind: str, frame=None, gamma=None):
     p = np.asarray(point, dtype=float)
     fr = frame if frame is not None else build_frame(F, p)
     gamma = gamma if gamma is not None else christoffel(F.source, p)
-    if not isinstance(Fld, VectorField):
-        Fld = VectorField.constant(np.asarray(Fld, dtype=float))
     e = _field_value(E, p)
     u = fr.vertical_part(e) if kind == "T" else fr.horizontal_part(e)
-
-    def vert(q):
-        return build_frame(F, q).vertical_part(Fld.at(q))
-
-    dvert = _directional_derivative(vert, p, u)
-    fp = Fld.at(p)
+    fp = _field_value(Fld, p)
     vfp = fr.vertical_part(fp)
     hfp = fp - vfp
-    # Derivative of the horizontal projection = derivative of the field
-    # minus the vertical piece; the field part is symbolic, hence exact.
-    dfield = Fld.jacobian_at(p) @ u
+    # Derivatives along u of the field (symbolic) and of its vertical
+    # projection q -> P_V(q) F(q); a plain vector is a constant field.
+    dvert = np.einsum("l,lij,j->i", u, _projector_derivs(F, fr), fp)
+    dfield = 0.0
+    if isinstance(Fld, VectorField):
+        dfield = Fld.jacobian_at(p) @ u
+        dvert = dvert + fr.vertical_part(dfield)
     nabla_vf = dvert + np.einsum("kij,i,j->k", gamma, u, vfp)
     nabla_hf = (dfield - dvert) + np.einsum("kij,i,j->k", gamma, u, hfp)
     return fr.horizontal_part(nabla_vf) + fr.vertical_part(nabla_hf)

@@ -3,7 +3,7 @@ import pytest
 
 from riemsub.clairaut import ClairautScenario
 from riemsub.expr import parse
-from riemsub.geometry import ExclusionTube, box_domain
+from riemsub.geometry import ExclusionTube, ManifoldSpec, box_domain
 from riemsub.hermitian import AlmostComplexField
 from riemsub.presets import (
     canonical_phi,
@@ -37,6 +37,22 @@ def build_scenario_ii(f_text="ln(sqrt(x1^2 + x2^2))"):
         F=F,
         f=parse(f_text, 4),
     )
+
+
+def build_warped_map(components=("x1", "x4")):
+    """Map onto R^2 from the warped product
+    ``dx1^2 + e^{2x1}(dx2^2 + dx3^2) + dx4^2`` on the box ``[-1.5, 1.5]^4``."""
+    entries = [
+        ["1", "0", "0", "0"],
+        ["0", "exp(2 * x1)", "0", "0"],
+        ["0", "0", "exp(2 * x1)", "0"],
+        ["0", "0", "0", "1"],
+    ]
+    M = ManifoldSpec(
+        4, [[parse(s, 4) for s in row] for row in entries], box_domain(4, -1.5, 1.5)
+    )
+    N = euclidean_manifold(2, domain=box_domain(2, -10.0, 10.0))
+    return SmoothMap(M, N, tuple(parse(s, 4) for s in components))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 
 from riemsub.expr import (
     DomainError,
+    ExprArray,
     ParseError,
     differentiate,
     evaluate,
@@ -84,6 +85,14 @@ def test_zero_to_negative_power():
 def test_sqrt_of_negative():
     with pytest.raises(DomainError):
         evaluate(parse("sqrt(x1)", 1), (-1.0,))
+
+
+@pytest.mark.parametrize("text", ["exp(1000 * x1)", "x1^400"])
+def test_overflow_is_a_domain_error(text):
+    e = parse(text, 1)
+    for evaluate_at in (e.eval, ExprArray((e,)).eval):
+        with pytest.raises(DomainError, match="overflows"):
+            evaluate_at((10.0,))
 
 
 def test_chained_exponent_is_right_associative():

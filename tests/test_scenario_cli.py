@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import riemsub
 from riemsub.cli import main, run_scenario
 from riemsub.scenario import (
     ScenarioValidationError,
@@ -121,6 +125,21 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert main(["check", str(bad_path)]) == 1
 
     assert main(["check", str(tmp_path / "missing.yaml")]) == 2
+
+
+def test_cli_overflow_exits_2_without_traceback(tmp_path):
+    doc = yaml.safe_load(resolve_scenario_path("example-ii").read_text())
+    doc["clairaut"]["f"] = "exp(1000 * x1)"
+    doc["sampling"]["count"] = 10
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "riemsub.cli", "check", str(_write(tmp_path, doc))],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "DomainError" in proc.stderr and "overflows" in proc.stderr
 
 
 def test_cli_validation_error_message(tmp_path, capsys):

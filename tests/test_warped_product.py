@@ -11,6 +11,7 @@ complex structure is compatible but deliberately not parallel.
 
 import numpy as np
 import pytest
+from conftest import build_warped_map
 
 from riemsub.clairaut import (
     ClairautScenario,
@@ -20,16 +21,9 @@ from riemsub.clairaut import (
     clairaut_invariant,
 )
 from riemsub.expr import parse
-from riemsub.geometry import (
-    ManifoldSpec,
-    box_domain,
-    geodesic_integrate,
-    sample_points,
-)
+from riemsub.geometry import geodesic_integrate, sample_points
 from riemsub.hermitian import AlmostComplexField, check_nearly_kaehler, check_structure
-from riemsub.presets import euclidean_manifold
 from riemsub.submersion import (
-    SmoothMap,
     build_frame,
     check_decompositions,
     check_skew,
@@ -41,17 +35,7 @@ from riemsub.submersion import (
 
 @pytest.fixture(scope="module")
 def warped():
-    entries = [
-        ["1", "0", "0", "0"],
-        ["0", "exp(2 * x1)", "0", "0"],
-        ["0", "0", "exp(2 * x1)", "0"],
-        ["0", "0", "0", "1"],
-    ]
-    M = ManifoldSpec(
-        4, [[parse(s, 4) for s in row] for row in entries], box_domain(4, -1.5, 1.5)
-    )
-    N = euclidean_manifold(2, domain=box_domain(2, -10.0, 10.0))
-    F = SmoothMap(M, N, tuple(parse(s, 4) for s in ["x1", "x4"]))
+    F = build_warped_map()
     # Structure adapted to the warped orthonormal frame: compatible and
     # squaring to -I, but with x1-dependent entries (not parallel).
     phi = [
