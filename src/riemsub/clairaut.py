@@ -33,6 +33,7 @@ from .submersion import (
     _fix_sign,
     build_frame,
     fiber_character,
+    five_point,
     frame_at,
     tensor_A,
     tensor_T,
@@ -134,11 +135,8 @@ def mu_basis(sc: ClairautScenario, fr: Frame) -> np.ndarray:
     return np.array(rows) if rows else np.empty((0, sc.M.dim))
 
 
-def check_anti_invariant(
-    sc: ClairautScenario, samples, tolerance: float | None = None
-) -> CheckReport:
+def check_anti_invariant(sc: ClairautScenario, samples) -> CheckReport:
     """Vertical part of the image of each vertical frame vector must vanish."""
-    tolerance = sc.tolerances.algebraic if tolerance is None else tolerance
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     residual = 0.0
     for p in samples:
@@ -152,7 +150,7 @@ def check_anti_invariant(
         "def-anti-invariant",
         len(samples),
         residual,
-        tolerance,
+        sc.tolerances.algebraic,
         {"mu_dim": sc.mu_dim, "lagrangian": sc.mu_dim == 0},
     )
 
@@ -188,12 +186,9 @@ def pq_tensors(sc: ClairautScenario, U, V, point, frame: Frame | None = None):
     return d - vert, vert
 
 
-def check_bishop(
-    sc: ClairautScenario, samples, tolerance: float | None = None
-) -> CheckReport:
+def check_bishop(sc: ClairautScenario, samples) -> CheckReport:
     """Umbilicity with mean curvature equal to minus the exponent gradient:
     residual of ``T_V W + g(V, W) grad f`` over vertical frame pairs."""
-    tolerance = sc.tolerances.fd if tolerance is None else tolerance
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     residual = 0.0
     grad_max = 0.0
@@ -213,7 +208,7 @@ def check_bishop(
         "th-bis",
         len(samples),
         residual,
-        tolerance,
+        sc.tolerances.fd,
         {
             "f_constant": grad_max <= sc.tolerances.algebraic,
             "max_grad_norm": grad_max,
@@ -240,13 +235,10 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     return sin_theta, invariant
 
 
-def clairaut_invariant(
-    sc: ClairautScenario, traj: GeodesicTrajectory, tolerance: float | None = None
-) -> CheckReport:
-    """Relative drift of ``e^f sin(theta)`` along the trajectory."""
+def clairaut_invariant(sc: ClairautScenario, traj: GeodesicTrajectory) -> CheckReport:
+    """Relative drift of ``e^f sin(theta)`` along the trajectory; the drift
+    tolerance is per unit length, for arcs longer than one."""
     arc = float(traj.s[-1] - traj.s[0]) if len(traj) > 1 else 0.0
-    if tolerance is None:
-        tolerance = sc.tolerances.drift * max(1.0, arc)
     _, invariant = invariant_series(sc, traj)
     c0 = float(invariant[0])
     drift_abs = float(abs(invariant - c0).max())
@@ -256,28 +248,76 @@ def clairaut_invariant(
         "def-clairaut",
         len(traj),
         drift_rel,
-        tolerance,
+        sc.tolerances.drift * max(1.0, arc),
         {"initial": c0, "drift_abs": drift_abs, "arc_length": arc},
     )
 
 
-def _curve_state(sc: ClairautScenario, p, v):
-    fr = build_frame(sc.F, p)
-    U = fr.vertical_part(v)
-    X = v - U
-    A = sc.J.matrix_at(p)
-    phiU = A @ U
-    phiX = A @ X
-    alpha = fr.vertical_part(phiX)
-    beta = phiX - alpha
-    return fr, U, X, phiU, alpha, beta
+@dataclass
+class _CurveWindow:
+    """Split state at an interior trajectory sample.
+
+    The velocity splits as ``v = U + X`` (vertical, horizontal) and
+    ``phi X = alpha + beta`` (vertical, in mu); ``d_*`` are the covariant
+    derivatives of ``phi U``, ``alpha`` and ``beta`` along the curve.
+    """
+
+    point: np.ndarray
+    velocity: np.ndarray
+    frame: Frame
+    gamma: np.ndarray
+    U: np.ndarray
+    X: np.ndarray
+    phiU: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    d_phiU: np.ndarray
+    d_alpha: np.ndarray
+    d_beta: np.ndarray
 
 
-def _stencil(values, step):
-    # values: five consecutive samples [i-2, i-1, i, i+1, i+2]
-    inner = values[3] - values[1]
-    outer = values[0] - values[4]
-    return (8.0 * inner + outer) / (12.0 * step)
+def _curve_window(sc: ClairautScenario, traj: GeodesicTrajectory, i: int) -> _CurveWindow:
+    """Split the five samples ``i-2..i+2`` and differentiate along the curve
+    with the five-point stencil."""
+    if i < 2 or i > len(traj) - 3:
+        raise ValueError("index must leave a margin of two interior samples")
+    states = []
+    for j in range(i - 2, i + 3):
+        p, v = traj.points[j], traj.velocities[j]
+        fr = build_frame(sc.F, p)
+        U = fr.vertical_part(v)
+        X = v - U
+        A = sc.J.matrix_at(p)
+        phiX = A @ X
+        alpha = fr.vertical_part(phiX)
+        # The three fields differentiated along the curve come first.
+        states.append((A @ U, alpha, phiX - alpha, fr, U, X))
+    p, v = traj.points[i], traj.velocities[i]
+    gamma = christoffel(sc.M, p)
+    covd = [
+        five_point([st[k] for st in states[:2] + states[3:]], traj.step)
+        + np.einsum("kij,i,j->k", gamma, v, states[2][k])
+        for k in range(3)
+    ]
+    phiU, alpha, beta, fr, U, X = states[2]
+    return _CurveWindow(p, v, fr, gamma, U, X, phiU, alpha, beta, *covd)
+
+
+def _condition_residuals(sc: ClairautScenario, w: _CurveWindow):
+    F, p, fr, gamma = sc.F, w.point, w.frame, w.gamma
+    r_vert = (
+        tensor_A(F, w.X, w.phiU, p, fr, gamma)
+        + tensor_A(F, w.X, w.beta, p, fr, gamma)
+        + tensor_T(F, w.U, w.beta, p, fr, gamma)
+        + tensor_T(F, w.U, w.phiU, p, fr, gamma)
+        + fr.vertical_part(w.d_alpha)
+    )
+    r_horiz = (
+        fr.horizontal_part(w.d_phiU + w.d_beta)
+        + tensor_A(F, w.X, w.alpha, p, fr, gamma)
+        + tensor_T(F, w.U, w.alpha, p, fr, gamma)
+    )
+    return metric_norm(fr.metric, r_vert), metric_norm(fr.metric, r_horiz)
 
 
 def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory, i: int):
@@ -294,40 +334,7 @@ def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory,
     five-point stencil over neighboring trajectory samples; the remaining
     terms are tensors evaluated at the sample point.
     """
-    if i < 2 or i > len(traj) - 3:
-        raise ValueError("index must leave a margin of two interior samples")
-    window = range(i - 2, i + 3)
-    states = [
-        _curve_state(sc, traj.points[j], traj.velocities[j]) for j in window
-    ]
-    fr, U, X, phiU, alpha, beta = states[2]
-    p = traj.points[i]
-    v = traj.velocities[i]
-    gamma = christoffel(sc.M, p)
-    g = fr.metric
-
-    def covd(idx):
-        series = [st[idx] for st in states]
-        return _stencil(series, traj.step) + np.einsum(
-            "kij,i,j->k", gamma, v, series[2]
-        )
-
-    d_alpha = covd(4)
-    d_phiU = covd(3)
-    d_beta = covd(5)
-    r_vert = (
-        tensor_A(sc.F, X, phiU, p, fr, gamma)
-        + tensor_A(sc.F, X, beta, p, fr, gamma)
-        + tensor_T(sc.F, U, beta, p, fr, gamma)
-        + tensor_T(sc.F, U, phiU, p, fr, gamma)
-        + fr.vertical_part(d_alpha)
-    )
-    r_horiz = (
-        fr.horizontal_part(d_phiU + d_beta)
-        + tensor_A(sc.F, X, alpha, p, fr, gamma)
-        + tensor_T(sc.F, U, alpha, p, fr, gamma)
-    )
-    return metric_norm(g, r_vert), metric_norm(g, r_horiz)
+    return _condition_residuals(sc, _curve_window(sc, traj, i))
 
 
 def interior_indices(traj: GeodesicTrajectory, count: int = 10):
@@ -339,68 +346,48 @@ def interior_indices(traj: GeodesicTrajectory, count: int = 10):
 
 
 def check_geodesic_conditions(
-    sc: ClairautScenario,
-    traj: GeodesicTrajectory,
-    indices=None,
-    tolerance: float | None = None,
+    sc: ClairautScenario, traj: GeodesicTrajectory, indices=None
 ) -> CheckReport:
     """Both geodesic-condition residuals over a set of interior samples."""
-    tolerance = sc.tolerances.drift if tolerance is None else tolerance
     indices = interior_indices(traj) if indices is None else indices
     residual = 0.0
     for i in indices:
         rv, rh = geodesic_condition_residuals(sc, traj, i)
         residual = max(residual, rv, rh)
     return CheckReport.from_residual(
-        "geodesic-conditions", "th1", len(indices), residual, tolerance
+        "geodesic-conditions", "th1", len(indices), residual, sc.tolerances.drift
     )
 
 
 def check_clairaut_condition(
-    sc: ClairautScenario,
-    traj: GeodesicTrajectory,
-    indices=None,
-    tolerance: float | None = None,
+    sc: ClairautScenario, traj: GeodesicTrajectory, indices=None
 ) -> CheckReport:
     """Residual of the Clairaut rate identity along a geodesic:
     ``g(grad f, X) g(U, U) = g(H nabla_h beta + A_X alpha + T_U alpha
-    + P_h U, phi U)``.  Rejects curves that fail the geodesic gate."""
-    tolerance = sc.tolerances.drift if tolerance is None else tolerance
+    + P_h U, phi U)``.  Rejects curves that fail the geodesic gate, which
+    reads the same windows as the residual."""
+    tolerance = sc.tolerances.drift
     indices = interior_indices(traj) if indices is None else indices
+    windows = [_curve_window(sc, traj, i) for i in indices]
     gate = 0.0
-    for i in indices:
-        rv, rh = geodesic_condition_residuals(sc, traj, i)
-        gate = max(gate, rv, rh)
+    for w in windows:
+        gate = max(gate, *_condition_residuals(sc, w))
     if gate > tolerance:
         raise NonGeodesicError(
             f"geodesic-condition residual {gate:.3e} exceeds {tolerance:.3e}; "
             "input curve is not a geodesic"
         )
     residual = 0.0
-    for i in indices:
-        window = range(i - 2, i + 3)
-        states = [
-            _curve_state(sc, traj.points[j], traj.velocities[j]) for j in window
-        ]
-        fr, U, X, phiU, alpha, beta = states[2]
-        p = traj.points[i]
-        v = traj.velocities[i]
-        gamma = christoffel(sc.M, p)
-        g = fr.metric
-        betas = [st[5] for st in states]
-        d_beta = _stencil(betas, traj.step) + np.einsum(
-            "kij,i,j->k", gamma, v, beta
-        )
-        gradf = gradient(sc.M, sc.f, p)
-        lhs = float(gradf @ g @ X) * float(U @ g @ U)
-        P_hU = fr.horizontal_part(nabla_phi(sc.M, sc.J, v, U, p))
+    for w in windows:
+        p, fr, g = w.point, w.frame, w.frame.metric
+        lhs = float(gradient(sc.M, sc.f, p) @ g @ w.X) * float(w.U @ g @ w.U)
         rhs_vec = (
-            fr.horizontal_part(d_beta)
-            + tensor_A(sc.F, X, alpha, p, fr, gamma)
-            + tensor_T(sc.F, U, alpha, p, fr, gamma)
-            + P_hU
+            fr.horizontal_part(w.d_beta)
+            + tensor_A(sc.F, w.X, w.alpha, p, fr, w.gamma)
+            + tensor_T(sc.F, w.U, w.alpha, p, fr, w.gamma)
+            + fr.horizontal_part(nabla_phi(sc.M, sc.J, w.velocity, w.U, p))
         )
-        residual = max(residual, abs(lhs - float(rhs_vec @ g @ phiU)))
+        residual = max(residual, abs(lhs - float(rhs_vec @ g @ w.phiU)))
     return CheckReport.from_residual(
         "clairaut-condition", "eq-6", len(indices), residual, tolerance
     )
@@ -409,15 +396,20 @@ def check_clairaut_condition(
 def _basic_residual(sc: ClairautScenario, p, fr: Frame, k: int) -> float:
     """Variation of the pushforward of phi(V_k) along the fiber directions.
 
-    Zero (to stencil accuracy) exactly when phi(V_k) is basic.  Relies on
-    the deterministic frame sign rule to identify the k-th vertical vector
-    at displaced points.
+    Zero (to stencil accuracy) exactly when phi(V_k) is basic.  The k-th
+    vertical vector at a displaced point is flipped to point along the base
+    one, so a tie in the frame sign rule inside the stencil cannot flip it.
+    Fibers of dimension 2 or more would also need the displaced basis
+    rotated onto the base one.
     """
     F = sc.F
+    base = fr.vertical[k]
 
     def pushed(q):
-        frq = build_frame(F, q)
-        return F.jacobian_at(q) @ apply_phi(sc.J, q, frq.vertical[k])
+        w = build_frame(F, q).vertical[k]
+        if float(w @ fr.metric @ base) < 0.0:
+            w = -w
+        return F.jacobian_at(q) @ apply_phi(sc.J, q, w)
 
     gn = F.target.metric_at(F.map_point(p))
     residual = 0.0
@@ -427,9 +419,7 @@ def _basic_residual(sc: ClairautScenario, p, fr: Frame, k: int) -> float:
     return residual
 
 
-def check_thm33_identity(
-    sc: ClairautScenario, samples, tolerance: float | None = None
-) -> CheckReport:
+def check_thm33_identity(sc: ClairautScenario, samples) -> CheckReport:
     """Residual of ``A_{phi W} phi X + Q_W phi X = X(f) W``.
 
     The verdict gates on X drawn from a mu-frame, which is where the
@@ -437,7 +427,7 @@ def check_thm33_identity(
     frame is reported separately in the details.  The basicness of phi(W)
     is verified numerically instead of assumed; failures are reported.
     """
-    tolerance = sc.tolerances.fd if tolerance is None else tolerance
+    tolerance = sc.tolerances.fd
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     mu_max = 0.0
     horiz_max = 0.0
@@ -485,7 +475,6 @@ def check_dichotomies(
     sc: ClairautScenario,
     samples,
     fiber_report: CheckReport | None = None,
-    tolerance: float | None = None,
 ) -> CheckReport:
     """Consistency of the either/or conclusions on this scenario.
 
@@ -495,10 +484,10 @@ def check_dichotomies(
     the smaller of the two is below tolerance.  Skipped (not failed) when
     the hypothesis ``grad f in phi(vertical)`` does not hold.
     """
-    tolerance = sc.tolerances.fd if tolerance is None else tolerance
+    tolerance = sc.tolerances.fd
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if fiber_report is None:
-        fiber_report = fiber_character(sc.F, samples, tolerance=sc.tolerances.fd)
+        fiber_report = fiber_character(sc.F, samples, tolerance=tolerance)
     f_const_res = 0.0
     hyp_res = 0.0
     for p in samples:
@@ -543,7 +532,6 @@ def check_pq_identities(
     samples,
     rng=None,
     include_antisymmetry: bool = True,
-    tolerance: float | None = None,
 ) -> CheckReport:
     """Pointwise identities of the split derivative tensors.
 
@@ -554,7 +542,6 @@ def check_pq_identities(
     symmetrized-derivative condition, so its inclusion in the gate is
     caller-controlled; its residual is always reported.
     """
-    tolerance = sc.tolerances.algebraic if tolerance is None else tolerance
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     rng = rng if rng is not None else np.random.default_rng(0)
     c2_max = 0.0
@@ -584,7 +571,7 @@ def check_pq_identities(
         "eq-c2/c3/c5",
         len(samples),
         residual,
-        tolerance,
+        sc.tolerances.algebraic,
         {
             "antisymmetry_residual": c2_max,
             "chain_residual": c3_max,

@@ -16,6 +16,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,12 @@ from .submersion import (
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
 
+# Everything derived for anti-invariant submersions of a manifold with
+# vanishing symmetrized structure derivative applies only when both hold;
+# otherwise those checks are skipped, not failed.
+OUTSIDE_SETTING = "scenario is outside the anti-invariant nearly-parallel setting"
+
+
 def _skip(name: str, ref: str, reason: str) -> CheckReport:
     return CheckReport(name, ref, 0, 0.0, 0.0, SKIP, {"reason": reason})
 
@@ -84,8 +91,8 @@ def run_scenario(
     sc = bundle.scenario
     if samples is not None and samples < 1:
         raise ScenarioValidationError("--samples must be positive")
-    if tolerance_scale <= 0.0:
-        raise ScenarioValidationError("--tolerance-scale must be positive")
+    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
+        raise ScenarioValidationError("--tolerance-scale must be finite and positive")
     if seed is not None:
         sc.sampling = type(sc.sampling)(count=sc.sampling.count, seed=seed)
     if samples is not None:
@@ -99,128 +106,81 @@ def run_scenario(
     sc.N.validate([sc.F.map_point(p) for p in pts[:25]])
 
     checks = []
-    structure = check_structure(
+
+    def add(name, ref, run, skip_if=()):
+        """Append ``run()`` under ``name`` (``ref`` labels a skip), or, if a
+        condition in ``skip_if`` holds, a skip carrying the first such
+        reason; return the report."""
+        reason = next((why for blocked, why in skip_if if blocked), None)
+        report = run() if reason is None else _skip(name, ref, reason)
+        report.name = name
+        checks.append(report)
+        return report
+
+    structure = add("structure", "eq-ka1", lambda: check_structure(
         sc.M, sc.J, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[1])
-    )
-    checks.append(structure)
+    ))
+    nk = add("nearly-kaehler", "eq-ka2", lambda: check_nearly_kaehler(
+        sc.M, sc.J, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[2])
+    ), [(not structure.passed, "structure check failed")])
+    # Per-sample series are diagnostics, too bulky for the report.
+    nk.details.pop("per_sample", None)
+    nk.details.pop("kaehler_per_sample", None)
 
-    if structure.passed:
-        nk = check_nearly_kaehler(
-            sc.M, sc.J, pts, tolerance=tol.algebraic,
-            rng=np.random.default_rng(seeds[2]),
-        )
-        # Per-sample series are diagnostics, too bulky for the report.
-        nk.details.pop("per_sample", None)
-        nk.details.pop("kaehler_per_sample", None)
-    else:
-        nk = _skip("nearly-kaehler", "eq-ka2", "structure check failed")
-    checks.append(nk)
-    nk_ok = nk.passed
-
-    checks.append(check_submersion(sc.F, pts, tolerance=tol.algebraic))
-    checks.append(
-        check_skew(sc.F, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[3]))
-    )
-    checks.append(check_decompositions(sc.F, pts, tolerance=tol.algebraic))
-    checks.append(check_sff_vertical(sc.F, pts, tolerance=tol.fd))
-    anti = check_anti_invariant(sc, pts, tolerance=tol.algebraic)
-    checks.append(anti)
-    # Everything derived for anti-invariant submersions of a manifold with
-    # vanishing symmetrized structure derivative applies only when both
-    # hold; otherwise those checks are skipped, not failed.
-    theorems_apply = nk_ok and anti.passed
-
-    fiber = fiber_character(sc.F, pts, tolerance=tol.fd)
+    add("submersion-axioms", "def-submersion",
+        lambda: check_submersion(sc.F, pts, tolerance=tol.algebraic))
+    add("oneill-skew", "EQ2.14", lambda: check_skew(
+        sc.F, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[3])
+    ))
+    add("oneill-decomposition", "EQ2.10-2.13",
+        lambda: check_decompositions(sc.F, pts, tolerance=tol.algebraic))
+    add("map-second-fundamental-form", "EQ2.15",
+        lambda: check_sff_vertical(sc.F, pts, tolerance=tol.fd))
+    anti = add("anti-invariance", "def-anti-invariant", lambda: check_anti_invariant(sc, pts))
+    fiber = add("fiber-character", "eq-7", lambda: fiber_character(sc.F, pts, tolerance=tol.fd))
     # Mean curvature vectors are per-sample diagnostics; keep the report flat.
-    mean_curv = fiber.details.pop("mean_curvature")
-    fiber.details["mean_curvature_first_sample"] = mean_curv[0]
-    checks.append(fiber)
+    fiber.details["mean_curvature_first_sample"] = fiber.details.pop("mean_curvature")[0]
+    bishop = add("bishop-clairaut", "th-bis", lambda: check_bishop(sc, pts))
+    add("pq-identities", "eq-c2/c3/c5", lambda: check_pq_identities(
+        sc, pts, rng=np.random.default_rng(seeds[4]), include_antisymmetry=nk.passed
+    ))
 
-    bishop = check_bishop(sc, pts, tolerance=tol.fd)
-    checks.append(bishop)
-
-    checks.append(
-        check_pq_identities(
-            sc,
-            pts,
-            rng=np.random.default_rng(seeds[4]),
-            include_antisymmetry=nk_ok,
-            tolerance=tol.algebraic,
-        )
-    )
-
-    if not theorems_apply:
-        reason = "scenario is outside the anti-invariant nearly-parallel setting"
-        checks.append(_skip("aq-gradient-identity", "th2", reason))
-        checks.append(_skip("dichotomies", "th3", reason))
-    elif bishop.passed:
-        checks.append(check_thm33_identity(sc, pts, tolerance=tol.fd))
-        checks.append(check_dichotomies(sc, pts, fiber_report=fiber, tolerance=tol.fd))
-    else:
-        checks.append(
-            _skip("aq-gradient-identity", "th2", "umbilicity criterion failed")
-        )
-        checks.append(_skip("dichotomies", "th3", "umbilicity criterion failed"))
+    outside = [(not (nk.passed and anti.passed), OUTSIDE_SETTING)]
+    umbilic = outside + [(not bishop.passed, "umbilicity criterion failed")]
+    add("aq-gradient-identity", "th2", lambda: check_thm33_identity(sc, pts), umbilic)
+    add("dichotomies", "th3",
+        lambda: check_dichotomies(sc, pts, fiber_report=fiber), umbilic)
 
     for i, cfg in enumerate(bundle.geodesics):
         prefix = f"geodesic-{i}"
         try:
             traj = geodesic_integrate(sc.M, cfg.p0, cfg.v0, cfg.length, cfg.step)
         except (DomainExitError, ValueError) as exc:
-            checks.append(
-                CheckReport(
-                    f"{prefix}-integration", "-", 0, float("inf"), 0.0, "fail",
-                    {"error": str(exc)},
-                )
-            )
+            add(f"{prefix}-integration", "-", lambda: CheckReport(
+                "", "-", 0, float("inf"), 0.0, "fail", {"error": str(exc)}
+            ))
             continue
+        if len(traj) < 5:
+            raise ScenarioValidationError(
+                f"geodesics[{i}]: {len(traj)} samples, the curve checks need "
+                "at least 5 (length / step >= 4)"
+            )
         arc = max(1.0, float(traj.s[-1]))
-        checks.append(
-            CheckReport.from_residual(
-                f"{prefix}-energy", "-", len(traj), traj.energy_drift,
-                tol.algebraic * arc, {"length": float(traj.s[-1])},
-            )
-        )
+        add(f"{prefix}-energy", "-", lambda: CheckReport.from_residual(
+            "", "-", len(traj), traj.energy_drift, tol.algebraic * arc,
+            {"length": float(traj.s[-1])},
+        ))
         idx = interior_indices(traj)
-        if theorems_apply:
-            conditions = check_geodesic_conditions(sc, traj, idx, tolerance=tol.drift)
-            conditions.name = f"{prefix}-conditions"
-        else:
-            conditions = _skip(
-                f"{prefix}-conditions", "th1",
-                "scenario is outside the anti-invariant nearly-parallel setting",
-            )
-        checks.append(conditions)
-        if nk_ok:
-            checks.append(
-                CheckReport.from_residual(
-                    f"{prefix}-pq-curve", "eq-c4", len(idx),
-                    pq_curve_residual(sc, traj, idx), tol.algebraic,
-                )
-            )
-        invariant = clairaut_invariant(sc, traj, tolerance=tol.drift * arc)
-        invariant.name = f"{prefix}-invariant"
-        checks.append(invariant)
-        if not theorems_apply:
-            checks.append(
-                _skip(
-                    f"{prefix}-clairaut-condition", "eq-6",
-                    "scenario is outside the anti-invariant nearly-parallel setting",
-                )
-            )
-        elif bishop.passed:
-            if conditions.passed:
-                clairaut_cond = check_clairaut_condition(sc, traj, idx, tolerance=tol.drift)
-                clairaut_cond.name = f"{prefix}-clairaut-condition"
-                checks.append(clairaut_cond)
-            else:
-                checks.append(
-                    _skip(f"{prefix}-clairaut-condition", "eq-6", "curve failed the geodesic gate")
-                )
-        else:
-            checks.append(
-                _skip(f"{prefix}-clairaut-condition", "eq-6", "umbilicity criterion failed")
-            )
+        conditions = add(f"{prefix}-conditions", "th1",
+                         lambda: check_geodesic_conditions(sc, traj, idx), outside)
+        if nk.passed:
+            add(f"{prefix}-pq-curve", "eq-c4", lambda: CheckReport.from_residual(
+                "", "eq-c4", len(idx), pq_curve_residual(sc, traj, idx), tol.algebraic
+            ))
+        add(f"{prefix}-invariant", "def-clairaut", lambda: clairaut_invariant(sc, traj))
+        add(f"{prefix}-clairaut-condition", "eq-6",
+            lambda: check_clairaut_condition(sc, traj, idx),
+            umbilic + [(not conditions.passed, "curve failed the geodesic gate")])
 
     return ReportDocument(
         scenario=sc.name,

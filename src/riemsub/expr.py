@@ -56,6 +56,9 @@ class Expr:
 
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError("expressions are immutable")
+
     def eval(self, point) -> float:
         raise NotImplementedError
 
@@ -99,9 +102,6 @@ class Const(Expr):
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
-
     def eval(self, point) -> float:
         return self.value
 
@@ -125,9 +125,6 @@ class Var(Expr):
             raise ValueError("variable index must be >= 1")
         object.__setattr__(self, "index", int(index))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
-
     def eval(self, point) -> float:
         return float(point[self.index - 1])
 
@@ -142,13 +139,11 @@ class _Binary(Expr):
     __slots__ = ("a", "b")
     _symbol = "?"
     _level = _P_ADD
+    _associative = False
 
     def __init__(self, a: Expr, b: Expr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def _prec(self) -> int:
         return self._level
@@ -158,8 +153,10 @@ class _Binary(Expr):
         if self.a._prec() < self._level:
             left = f"({left})"
         right = str(self.b)
-        # +,-,*,/ associate left; parenthesize a right child of equal level.
-        if self.b._prec() <= self._level:
+        # +,-,*,/ associate left; a right child of equal level needs
+        # parentheses unless the operator is associative.
+        level = self.b._prec()
+        if level < self._level or (level == self._level and not self._associative):
             right = f"({right})"
         return f"{left} {self._symbol} {right}"
 
@@ -168,21 +165,13 @@ class Add(_Binary):
     __slots__ = ()
     _symbol = "+"
     _level = _P_ADD
+    _associative = True
 
     def eval(self, point) -> float:
         return self.a.eval(point) + self.b.eval(point)
 
     def diff(self, index: int) -> Expr:
         return Add(self.a.diff(index), self.b.diff(index))
-
-    def __str__(self) -> str:
-        left = str(self.a)
-        if self.a._prec() < self._level:
-            left = f"({left})"
-        right = str(self.b)
-        if self.b._prec() < self._level:
-            right = f"({right})"
-        return f"{left} + {right}"
 
 
 class Sub(_Binary):
@@ -201,21 +190,13 @@ class Mul(_Binary):
     __slots__ = ()
     _symbol = "*"
     _level = _P_MUL
+    _associative = True
 
     def eval(self, point) -> float:
         return self.a.eval(point) * self.b.eval(point)
 
     def diff(self, index: int) -> Expr:
         return Add(Mul(self.a.diff(index), self.b), Mul(self.a, self.b.diff(index)))
-
-    def __str__(self) -> str:
-        left = str(self.a)
-        if self.a._prec() < self._level:
-            left = f"({left})"
-        right = str(self.b)
-        if self.b._prec() < self._level:
-            right = f"({right})"
-        return f"{left} * {right}"
 
 
 class Div(_Binary):
@@ -242,9 +223,6 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: float):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", float(exponent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def eval(self, point) -> float:
         b = self.base.eval(point)
@@ -280,9 +258,6 @@ class Neg(Expr):
     def __init__(self, a: Expr):
         object.__setattr__(self, "a", a)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
-
     def eval(self, point) -> float:
         return -self.a.eval(point)
 
@@ -309,9 +284,6 @@ class Func(Expr):
             raise ValueError(f"unknown function {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     def eval(self, point) -> float:
         v = self.arg.eval(point)
@@ -361,7 +333,6 @@ def is_zero(e: Expr) -> bool:
 # Compiled evaluation of expression arrays
 # ---------------------------------------------------------------------------
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
 _COMPILED_GLOBALS = {
     "_float": float,
     "_pow": math.pow,
@@ -445,7 +416,7 @@ def _compile(entries):
             code = f"{key[1]} / {b}"
         elif isinstance(e, _Binary):
             key = (type(e), operand(e.a), operand(e.b))
-            code = f"{key[1]} {_BINARY_OPS[type(e)]} {key[2]}"
+            code = f"{key[1]} {e._symbol} {key[2]}"
         elif isinstance(e, Pow):
             key = (Pow, operand(e.base), operand(Const(e.exponent)))
             code = f"_pow({key[1]}, {key[2]})"
@@ -594,7 +565,12 @@ class _Parser:
         value = sign * tok[1]
         if self.peek()[0] == "^":
             self.next()
-            value = math.pow(value, self.parse_exponent())
+            try:
+                value = math.pow(value, self.parse_exponent())
+            except OverflowError:
+                raise ParseError("exponent overflows", tok[2]) from None
+            except ValueError:
+                raise ParseError("exponent is not a real number", tok[2]) from None
         return value
 
     def parse_atom(self) -> Expr:

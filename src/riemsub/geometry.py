@@ -9,6 +9,7 @@ and fixed-step RK4 geodesic integration with energy-drift bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,6 +320,8 @@ def geodesic_integrate(
         raise ValueError("step must be positive")
     if length < 0.0:
         raise ValueError("length must be nonnegative")
+    if not (math.isfinite(step) and math.isfinite(length / step)):
+        raise ValueError(f"length {length} and step {step} must give a finite number of steps")
     p0 = np.asarray(p0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not M.domain.contains(p0):
@@ -340,20 +343,15 @@ def geodesic_integrate(
         x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not M.domain.contains(x):
-            partial = _finish_trajectory(M, points, velocities, step)
+            partial = GeodesicTrajectory.from_samples(
+                M, step * np.arange(len(points)), points, velocities, step
+            )
             raise DomainExitError(partial, x, (k + 1) * step)
         points.append(x)
         velocities.append(v)
-    return _finish_trajectory(M, points, velocities, step)
-
-
-def _finish_trajectory(M, points, velocities, step) -> GeodesicTrajectory:
-    points = np.array(points)
-    velocities = np.array(velocities)
-    s = step * np.arange(len(points))
-    energies = np.array([v @ M.metric_at(p) @ v for p, v in zip(points, velocities)])
-    drift = float(abs(energies - energies[0]).max())
-    return GeodesicTrajectory(s, points, velocities, float(step), energies, drift)
+    return GeodesicTrajectory.from_samples(
+        M, step * np.arange(len(points)), points, velocities, step
+    )
 
 
 def sample_points(domain: SamplingDomain, count: int, seed) -> np.ndarray:

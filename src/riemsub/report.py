@@ -102,19 +102,21 @@ class ReportDocument:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_table(self) -> str:
+        w = max([len("ref")] + [len(c.ref) for c in self.checks])
+        rule = "-" * (79 + w)
         lines = [
             f"scenario: {self.scenario}   seed={self.seed}   "
             f"samples={self.sample_count}   tolerance-scale={self.tolerance_scale:g}",
             "",
-            f"{'check':36s} {'ref':16s} {'n':>5s} {'max residual':>14s} "
+            f"{'check':36s} {'ref':{w}s} {'n':>5s} {'max residual':>14s} "
             f"{'tolerance':>11s} {'verdict':>8s}",
-            "-" * 95,
+            rule,
         ]
         for c in self.checks:
             lines.append(
-                f"{c.name:36s} {c.ref:16s} {c.samples:5d} {c.max_residual:14.4e} "
+                f"{c.name:36s} {c.ref:{w}s} {c.samples:5d} {c.max_residual:14.4e} "
                 f"{c.tolerance:11.1e} {c.verdict:>8s}"
             )
-        lines.append("-" * 95)
+        lines.append(rule)
         lines.append(f"overall: {self.overall}")
         return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -66,7 +67,13 @@ def _check_keys(mapping: dict, path: str, required: tuple, optional: tuple = ())
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _err(path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        _err(path, "expected a finite number")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -234,11 +241,13 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
     if "tolerances" in raw:
         t_raw = _as_mapping(raw["tolerances"], "tolerances")
         _check_keys(t_raw, "tolerances", required=(), optional=("algebraic", "fd", "drift"))
-        tolerances = Tolerances(
-            algebraic=_as_number(t_raw.get("algebraic", tolerances.algebraic), "tolerances.algebraic"),
-            fd=_as_number(t_raw.get("fd", tolerances.fd), "tolerances.fd"),
-            drift=_as_number(t_raw.get("drift", tolerances.drift), "tolerances.drift"),
-        )
+        values = {}
+        for key in ("algebraic", "fd", "drift"):
+            value = _as_number(t_raw.get(key, getattr(tolerances, key)), f"tolerances.{key}")
+            if value <= 0:
+                _err(f"tolerances.{key}", "must be positive")
+            values[key] = value
+        tolerances = Tolerances(**values)
 
     geodesics = []
     for i, g_raw in enumerate(raw.get("geodesics", []) or []):

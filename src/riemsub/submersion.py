@@ -214,15 +214,19 @@ def check_submersion(F: SmoothMap, samples, tolerance: float = 1e-8) -> CheckRep
     )
 
 
-def _directional_derivative(fn, p, u, h: float = FD_STEP) -> np.ndarray:
-    """Five-point fourth-order directional derivative of a vector function.
+def five_point(samples, h: float) -> np.ndarray:
+    """Fourth-order central derivative from the values at -2h, -h, +h, +2h.
 
     Differences are grouped before summing so that nearly-equal samples
     cancel exactly instead of leaving an ulp residue amplified by 1/h.
     """
-    inner = fn(p + h * u) - fn(p - h * u)
-    outer = fn(p - 2.0 * h * u) - fn(p + 2.0 * h * u)
-    return (8.0 * inner + outer) / (12.0 * h)
+    m2, m1, p1, p2 = samples
+    return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
+
+
+def _directional_derivative(fn, p, u, h: float = FD_STEP) -> np.ndarray:
+    """Five-point fourth-order directional derivative of a vector function."""
+    return five_point([fn(p + t * u) for t in (-2.0 * h, -h, h, 2.0 * h)], h)
 
 
 def _covariant_projected(F, direction, Fld, p, gamma, part: str) -> np.ndarray:
@@ -357,34 +361,21 @@ def check_decompositions(
     for p in samples:
         fr = build_frame(F, p)
         gamma = christoffel(F.source, p)
-        g = fr.metric
-        v = fr.vertical[0]
-        w = fr.vertical[-1]
-        x = fr.horizontal[0]
-        y = fr.horizontal[-1]
-        wf = VectorField.constant(w)
-        xf = VectorField.constant(x)
-        yf = VectorField.constant(y)
-        d_vw = _covariant_projected(F, v, wf, p, gamma, "vertical")
-        residual = max(
-            residual,
-            metric_norm(g, fr.horizontal_part(d_vw) - tensor_T(F, v, w, p, fr, gamma)),
-        )
-        d_vx = _covariant_projected(F, v, xf, p, gamma, "horizontal")
-        residual = max(
-            residual,
-            metric_norm(g, fr.vertical_part(d_vx) - tensor_T(F, v, x, p, fr, gamma)),
-        )
-        d_xw = _covariant_projected(F, x, wf, p, gamma, "vertical")
-        residual = max(
-            residual,
-            metric_norm(g, fr.horizontal_part(d_xw) - tensor_A(F, x, w, p, fr, gamma)),
-        )
-        d_xy = _covariant_projected(F, x, yf, p, gamma, "horizontal")
-        residual = max(
-            residual,
-            metric_norm(g, fr.vertical_part(d_xy) - tensor_A(F, x, y, p, fr, gamma)),
-        )
+        v, w = fr.vertical[0], fr.vertical[-1]
+        x, y = fr.horizontal[0], fr.horizontal[-1]
+        for direction, vec, part, tensor in (
+            (v, w, "vertical", tensor_T),
+            (v, x, "horizontal", tensor_T),
+            (x, w, "vertical", tensor_A),
+            (x, y, "horizontal", tensor_A),
+        ):
+            d = _covariant_projected(F, direction, VectorField.constant(vec), p, gamma, part)
+            # The tensor is the part of d complementary to the projection.
+            other = fr.horizontal_part(d) if part == "vertical" else fr.vertical_part(d)
+            residual = max(
+                residual,
+                metric_norm(fr.metric, other - tensor(F, direction, vec, p, fr, gamma)),
+            )
     return CheckReport.from_residual(
         "oneill-decomposition", "EQ2.10-2.13", len(samples), residual, tolerance
     )

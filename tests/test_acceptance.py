@@ -1,11 +1,13 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Scenario reports are produced once per session and shared.
+lines.  Scenario reports are produced once per session and shared; the
+last test pins their shape.
 """
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import build_scenario_ii, circle_trajectory
 from riemsub.cli import main, run_scenario
@@ -251,3 +253,94 @@ def test_criterion_10_determinism():
     second = run_scenario(path).to_json()
     ok = first == second
     _criterion(10, "identical seeds give byte-identical machine reports", ok)
+
+
+# ---------------------------------------------------------------------------
+# Report shape: names, refs, verdicts and sample counts, in order.  Residual
+# digits depend on LAPACK, so they are not pinned here.
+# ---------------------------------------------------------------------------
+
+_POINT_CHECKS = [
+    ("structure", "eq-ka1"),
+    ("nearly-kaehler", "eq-ka2"),
+    ("submersion-axioms", "def-submersion"),
+    ("oneill-skew", "EQ2.14"),
+    ("oneill-decomposition", "EQ2.10-2.13"),
+    ("map-second-fundamental-form", "EQ2.15"),
+    ("anti-invariance", "def-anti-invariant"),
+    ("fiber-character", "eq-7"),
+    ("bishop-clairaut", "th-bis"),
+    ("pq-identities", "eq-c2/c3/c5"),
+    ("aq-gradient-identity", "th2"),
+    ("dichotomies", "th3"),
+]
+
+# The curved fixture of tests/test_warped_product.py as a scenario: its
+# structure is not parallel, so the theorem checks skip and pq-curve is left
+# out of the report.
+_WARPED = {
+    "name": "warped-product",
+    "source": {
+        "dim": 4,
+        "metric": [
+            ["1", "0", "0", "0"],
+            ["0", "exp(2 * x1)", "0", "0"],
+            ["0", "0", "exp(2 * x1)", "0"],
+            ["0", "0", "0", "1"],
+        ],
+        "domain": {"intervals": [[-1.5, 1.5]] * 4},
+    },
+    "target": {"dim": 2, "metric": "euclidean", "domain": {"intervals": [[-10.0, 10.0]] * 2}},
+    "phi": [
+        ["0", "exp(x1)", "0", "0"],
+        ["-exp(0 - x1)", "0", "0", "0"],
+        ["0", "0", "0", "exp(0 - x1)"],
+        ["0", "0", "-exp(x1)", "0"],
+    ],
+    "map": ["x1", "x4"],
+    "clairaut": {"f": "x1"},
+    "sampling": {"count": 30, "seed": 9},
+    "geodesics": [{"p0": [0.1, 0.2, -0.1, 0.3], "v0": [0.4, 0.5, 0.3, -0.2], "length": 1.0}],
+}
+
+
+def _shape(report):
+    return [(c.name, c.ref, c.verdict, c.samples) for c in report.checks]
+
+
+def _passing_shape(samples, geodesic_samples):
+    shape = [(name, ref, "pass", samples) for name, ref in _POINT_CHECKS]
+    for i, n in enumerate(geodesic_samples):
+        shape += [
+            (f"geodesic-{i}-energy", "-", "pass", n),
+            (f"geodesic-{i}-conditions", "th1", "pass", 10),
+            (f"geodesic-{i}-pq-curve", "eq-c4", "pass", 10),
+            (f"geodesic-{i}-invariant", "def-clairaut", "pass", n),
+            (f"geodesic-{i}-clairaut-condition", "eq-6", "pass", 10),
+        ]
+    return shape
+
+
+def test_report_shape(report_i, report_ii, tmp_path):
+    assert _shape(report_i) == _passing_shape(200, [1201] * 5)
+    assert _shape(report_ii) == _passing_shape(200, [2001] * 5)
+
+    path = tmp_path / "warped-product.yaml"
+    path.write_text(yaml.safe_dump(_WARPED))
+    warped = run_scenario(path)
+    changed = {
+        "nearly-kaehler": ("fail", 30),
+        "aq-gradient-identity": ("skip", 0),
+        "dichotomies": ("skip", 0),
+    }
+    expected = [(name, ref, *changed.get(name, ("pass", 30))) for name, ref in _POINT_CHECKS]
+    expected += [
+        ("geodesic-0-energy", "-", "pass", 1001),
+        ("geodesic-0-conditions", "th1", "skip", 0),
+        ("geodesic-0-invariant", "def-clairaut", "pass", 1001),
+        ("geodesic-0-clairaut-condition", "eq-6", "skip", 0),
+    ]
+    assert _shape(warped) == expected
+    assert warped.overall == "fail"
+    reasons = {c.details["reason"] for c in warped.checks if c.verdict == "skip"}
+    assert reasons == {"scenario is outside the anti-invariant nearly-parallel setting"}

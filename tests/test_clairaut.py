@@ -289,6 +289,19 @@ def test_thm33_identity_example_ii(scenario_ii, samples_ii):
     assert rep.details["horizontal_frame_residual"] > 1e-2
 
 
+@pytest.mark.parametrize(
+    "point",
+    [[1.0, 1.0, 0.3, 0.2], [-1.0, 1.0, 0.3, 0.2], [2.0, -2.0, 0.0, 0.0], [0.5, 0.5, -1.0, 2.0]],
+)
+def test_thm33_identity_at_sign_rule_ties(scenario_ii, point):
+    # At |x1| = |x2| the two largest components of the vertical vector tie,
+    # so the frame sign rule flips inside the basicness stencil; the
+    # displaced vectors must be aligned with the base one.
+    rep = check_thm33_identity(scenario_ii, [point])
+    assert rep.passed
+    assert rep.details["basic_residual"] < 1e-9
+
+
 def test_thm33_identity_example_i(scenario_i, samples_i):
     rep = check_thm33_identity(scenario_i, samples_i)
     assert rep.passed

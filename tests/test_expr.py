@@ -100,6 +100,14 @@ def test_chained_exponent_is_right_associative():
     assert evaluate(e, (2.0,)) == pytest.approx(2.0 ** 8)
 
 
+@pytest.mark.parametrize("text, position", [("x1^2^2000", 4), ("x1^-2^0.5", 5)])
+def test_chained_exponent_without_real_value_is_a_parse_error(text, position):
+    # The folded exponent overflows, or is a negative base to a fractional power.
+    with pytest.raises(ParseError) as err:
+        parse(text, 1)
+    assert err.value.position == position
+
+
 def test_negative_fractional_power_rejected():
     with pytest.raises(DomainError):
         evaluate(parse("x1^0.5", 1), (-4.0,))

@@ -27,26 +27,34 @@ from conftest import build_scenario_ii, build_warped_map
 # Compiled evaluation against the tree walk
 # ---------------------------------------------------------------------------
 
-# 1e400 parses to an infinite constant.
-_atoms = st.sampled_from(["x1", "x2", "x3", "0", "1", "2.5", "0.5", "1e-3", "1e400"])
+def _expressions(infinite: bool):
+    """Random parsed expressions over x1..x3; with ``infinite``, the
+    literal 1e400 (an infinite constant) is among the atoms and exponents."""
+    atoms = ["x1", "x2", "x3", "0", "1", "2.5", "0.5", "1e-3"]
+    exponents = ["2", "3", "0.5", "-1", "-0.5", "0"]
+    if infinite:
+        atoms.append("1e400")
+        exponents.append("-1e400")
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*/"), children).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            st.tuples(st.sampled_from(["sqrt", "ln", "exp", "sin", "cos"]), children).map(
+                lambda t: f"{t[0]}({t[1]})"
+            ),
+            st.tuples(children, st.sampled_from(exponents)).map(
+                lambda t: f"({t[0]})^{t[1]}"
+            ),
+            children.map(lambda s: f"-({s})"),
+        )
+
+    strings = st.recursive(st.sampled_from(atoms), extend, max_leaves=10)
+    return strings.map(lambda s: parse(s, 3))
 
 
-def _extend(children):
-    return st.one_of(
-        st.tuples(children, st.sampled_from("+-*/"), children).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"
-        ),
-        st.tuples(st.sampled_from(["sqrt", "ln", "exp", "sin", "cos"]), children).map(
-            lambda t: f"{t[0]}({t[1]})"
-        ),
-        st.tuples(children, st.sampled_from(["2", "3", "0.5", "-1", "-0.5", "0", "-1e400"])).map(
-            lambda t: f"({t[0]})^{t[1]}"
-        ),
-        children.map(lambda s: f"-({s})"),
-    )
-
-
-expressions = st.recursive(_atoms, _extend, max_leaves=10).map(lambda s: parse(s, 3))
+expressions = _expressions(infinite=True)
 # Zeros and negatives reach the sqrt / ln / division / power singularities;
 # large coordinates reach exp and power overflow.
 coordinates = st.one_of(
@@ -75,6 +83,15 @@ def test_compiled_matches_tree_walk_bit_for_bit(e, p):
     entries = (e,) + tuple(e.diff(i) for i in (1, 2, 3))
     reference = _outcome(lambda: [x.eval(p) for x in entries])
     assert _outcome(lambda: ExprArray(entries).eval(p)) == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(infinite=False))
+def test_print_parse_round_trip_is_exact(e):
+    # Printing is the inverse of parsing up to the printed form: the printer
+    # parenthesizes exactly where the grammar needs it.
+    text = str(e)
+    assert str(parse(text, 3)) == text
 
 
 def test_compiled_array_keeps_shape_and_reports_first_singular_node():

@@ -142,6 +142,72 @@ def test_cli_overflow_exits_2_without_traceback(tmp_path):
     assert "DomainError" in proc.stderr and "overflows" in proc.stderr
 
 
+def _with(doc, **changes):
+    out = yaml.safe_load(yaml.safe_dump(doc))
+    out.update(changes)
+    return out
+
+
+_GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # Fewer than 5 samples leave no interior window for the curve checks.
+        pytest.param(
+            ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, length=0.002, step=0.001)]),
+            "geodesics[0]", id="short-geodesic",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, length=float("inf"))]),
+            "geodesics[0].length", id="infinite-length",
+        ),
+        pytest.param(
+            ["geodesic", "--length", "inf"], _with(MINIMAL, geodesics=[_GEODESIC]),
+            "finite number of steps", id="geodesic-infinite-length",
+        ),
+        pytest.param(
+            ["geodesic", "--length", "1e300", "--step", "1e-10"],
+            _with(MINIMAL, geodesics=[_GEODESIC]),
+            "finite number of steps", id="geodesic-step-count-overflow",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, clairaut={"f": "x1^2^2000"}),
+            "clairaut.f", id="exponent-overflow",
+        ),
+        pytest.param(
+            ["check", "--tolerance-scale", "inf"], MINIMAL,
+            "--tolerance-scale", id="infinite-tolerance-scale",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, tolerances={"fd": float("inf")}),
+            "tolerances.fd", id="infinite-tolerance",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, tolerances={"drift": 0.0}),
+            "tolerances.drift", id="zero-tolerance",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, tolerances={"fd": 10**400}),
+            "tolerances.fd", id="integer-beyond-float-range",
+        ),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [command[0], str(_write(tmp_path, doc))] + command[1:]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from riemsub.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
 def test_cli_validation_error_message(tmp_path, capsys):
     doc = yaml.safe_load(yaml.safe_dump(MINIMAL))
     doc["sampling"]["count"] = "many"
@@ -266,6 +332,8 @@ def test_bad_overrides_rejected(tmp_path):
         run_scenario(path, samples=0)
     with pytest.raises(ScenarioValidationError):
         run_scenario(path, tolerance_scale=0.0)
+    with pytest.raises(ScenarioValidationError):
+        run_scenario(path, tolerance_scale=float("nan"))
 
 
 def test_report_table_format(tmp_path):
