@@ -17,11 +17,9 @@ from riemsub import (
     box_domain,
     build_frame,
     check_skew,
-    differential,
     fiber_character,
     gradient,
     parse,
-    project,
     sample_points,
     tensor_A,
     tensor_T,
@@ -36,7 +34,7 @@ F = SmoothMap(source, target, map_example_ii_components())
 p = np.array([1.0, 1.0, 0.0, 0.0])
 print("== differential and frame at (1, 1, 0, 0) ==")
 print("Jacobian:")
-print(differential(F, p))
+print(F.jacobian_at(p))
 fr = build_frame(F, p)
 print("vertical frame:  ", fr.vertical[0])
 print("horizontal frame:")
@@ -45,7 +43,7 @@ print(fr.horizontal)
 print()
 print("== projections ==")
 v = np.array([0.3, -0.8, 0.5, 0.2])
-vert, horiz = project(fr, v)
+vert, horiz = fr.vertical_part(v), fr.horizontal_part(v)
 print("vector          ", v)
 print("vertical part   ", vert)
 print("horizontal part ", horiz)

@@ -24,7 +24,7 @@ from .geometry import (
     metric_norm,
 )
 from .hermitian import AlmostComplexField, apply_phi, nabla_phi
-from .report import CheckReport
+from .report import CheckReport, Tolerances
 from .submersion import (
     Frame,
     SmoothMap,
@@ -42,21 +42,6 @@ from .submersion import (
 
 class NonGeodesicError(Exception):
     """A curve handed to a geodesics-only check failed the geodesic gate."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default tolerance classes: exact-arithmetic identities, checks that
-    go through finite differencing, and per-unit-length drift along curves."""
-
-    algebraic: float = 1e-8
-    fd: float = 1e-6
-    drift: float = 1e-5
-
-    def scaled(self, scale: float) -> "Tolerances":
-        return Tolerances(
-            self.algebraic * scale, self.fd * scale, self.drift * scale
-        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,13 +44,14 @@ from .geometry import (
     sample_points,
 )
 from .hermitian import check_nearly_kaehler, check_structure
-from .presets import CATALOG
+from .presets import PRESETS
 from .report import SKIP, CheckReport, ReportDocument
 from .scenario import (
     GeodesicConfig,
     ScenarioValidationError,
     bundled_scenario_names,
     load_scenario,
+    nonzero_velocity,
     resolve_scenario_path,
 )
 from .submersion import (
@@ -215,9 +217,12 @@ def _parse_tuple(text: str, dim: int, label: str):
     if len(parts) != dim:
         raise ScenarioValidationError(f"{label}: expected {dim} numbers")
     try:
-        return tuple(float(t) for t in parts)
+        values = tuple(float(t) for t in parts)
     except ValueError:
         raise ScenarioValidationError(f"{label}: expected numbers") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ScenarioValidationError(f"{label}: expected finite numbers")
+    return values
 
 
 def _cmd_geodesic(args) -> int:
@@ -229,22 +234,17 @@ def _cmd_geodesic(args) -> int:
             raise ScenarioValidationError("--p0 and --v0 must be given together")
         cfg = GeodesicConfig(
             p0=_parse_tuple(args.p0, sc.M.dim, "--p0"),
-            v0=_parse_tuple(args.v0, sc.M.dim, "--v0"),
-            length=args.length if args.length is not None else 1.0,
-            step=args.step if args.step is not None else 1e-3,
+            v0=nonzero_velocity(_parse_tuple(args.v0, sc.M.dim, "--v0"), "--v0"),
+            length=1.0,
         )
     elif bundle.geodesics:
-        base = bundle.geodesics[0]
-        cfg = GeodesicConfig(
-            base.p0,
-            base.v0,
-            args.length if args.length is not None else base.length,
-            args.step if args.step is not None else base.step,
-        )
+        cfg = bundle.geodesics[0]
     else:
         raise ScenarioValidationError(
             "scenario has no geodesics block; pass --p0 and --v0"
         )
+    overrides = {"length": args.length, "step": args.step}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     exited = None
     try:
@@ -297,8 +297,8 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_presets(_args) -> int:
-    for name, (kind, description) in CATALOG.items():
-        print(f"{name:16s} {kind:7s} {description}")
+    for name, preset in PRESETS.items():
+        print(f"{name:16s} {preset.kind:7s} {preset.description}")
     print()
     print("bundled scenarios: " + ", ".join(bundled_scenario_names()))
     return EXIT_PASS

@@ -43,6 +43,14 @@ class DomainError(ExprError):
 _P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
 
 
+def _literal(value: float) -> str:
+    """``repr`` of a float, except that an infinity prints as a literal the
+    parser reads back to it (``1e999`` overflows to ``inf``)."""
+    if math.isinf(value):
+        return "1e999" if value > 0 else "-1e999"
+    return repr(value)
+
+
 def _as_expr(value) -> "Expr":
     if isinstance(value, Expr):
         return value
@@ -112,7 +120,7 @@ class Const(Expr):
         return _P_ATOM if self.value >= 0 else _P_NEG
 
     def __str__(self) -> str:
-        return repr(self.value)
+        return _literal(self.value)
 
 
 class Var(Expr):
@@ -249,7 +257,7 @@ class Pow(Expr):
         base = str(self.base)
         if self.base._prec() <= _P_POW:
             base = f"({base})"
-        return f"{base}^{repr(self.exponent)}"
+        return f"{base}^{_literal(self.exponent)}"
 
 
 class Neg(Expr):
@@ -300,9 +308,9 @@ class Func(Expr):
                 return math.exp(v)
             except OverflowError:
                 raise DomainError("exponential overflows", self) from None
-        if self.name == "sin":
-            return math.sin(v)
-        return math.cos(v)
+        if math.isinf(v):  # math.sin and math.cos reject it
+            raise DomainError(f"{self.name} of an infinite value", self)
+        return math.sin(v) if self.name == "sin" else math.cos(v)
 
     def diff(self, index: int) -> Expr:
         u = self.arg
@@ -611,25 +619,29 @@ def parse(text: str, dim: int) -> Expr:
     return node
 
 
-def evaluate(e: Expr, point) -> float:
-    """Value of ``e`` at ``point`` (an m-tuple of reals)."""
-    return e.eval(point)
-
-
 def differentiate(e: Expr, index: int) -> Expr:
-    """Exact symbolic partial derivative of ``e`` with respect to ``x<index>``."""
+    """Exact symbolic partial derivative of ``e`` with respect to ``x<index>``.
+
+    Unlike ``e.diff(index)``, which treats an index below 1 as a variable
+    that does not occur and returns zero, this rejects it.
+    """
     if index < 1:
         raise ValueError("coordinate index must be >= 1")
     return e.diff(index)
 
 
-def fd_derivative(e: Expr, index: int, point, scale: float = 1.0) -> float:
+# Relative step of :func:`fd_derivative`: the cube root of the float epsilon
+# balances the truncation error of a central difference against rounding.
+FD_REL_STEP = 2.220446049250313e-16 ** (1.0 / 3.0)
+
+
+def fd_derivative(e: Expr, index: int, point) -> float:
     """Central finite-difference estimate of a partial derivative.
 
-    Independent cross-check for :func:`differentiate`; step is
-    ``eps**(1/3) * max(1, |p_i|) * scale``.
+    Independent cross-check for :func:`differentiate`; the step is
+    ``FD_REL_STEP * max(1, |p_i|)``.
     """
-    h = (2.220446049250313e-16) ** (1.0 / 3.0) * max(1.0, abs(point[index - 1])) * scale
+    h = FD_REL_STEP * max(1.0, abs(point[index - 1]))
     plus = list(point)
     minus = list(point)
     plus[index - 1] += h

@@ -14,7 +14,12 @@ import numpy as np
 
 from .expr import ExprArray
 from .geometry import ManifoldSpec, _field_value, christoffel, metric_norm
-from .report import CheckReport
+from .report import CheckReport, Tolerances
+
+# Random unit vectors per sample in ``check_structure`` and random vector
+# pairs per sample in ``check_nearly_kaehler``.
+STRUCTURE_VECTORS = 4
+NEARLY_KAEHLER_PAIRS = 4
 
 
 class AlmostComplexField:
@@ -80,9 +85,8 @@ def check_structure(
     M: ManifoldSpec,
     J: AlmostComplexField,
     samples,
-    tolerance: float = 1e-8,
+    tolerance: float = Tolerances.algebraic,
     rng=None,
-    vectors: int = 4,
 ) -> CheckReport:
     """Residuals of ``phi^2 = -I`` and ``g(phi X, phi Y) = g(X, Y)``."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -94,7 +98,7 @@ def check_structure(
     for p in samples:
         g = M.metric_at(p)
         A = J.matrix_at(p)
-        vs = _unit_vectors(g, rng, vectors)
+        vs = _unit_vectors(g, rng, STRUCTURE_VECTORS)
         for v in vs:
             sq_max = max(sq_max, metric_norm(g, A @ (A @ v) + v))
         for v, w in zip(vs, vs[1:] + vs[:1]):
@@ -116,9 +120,8 @@ def check_nearly_kaehler(
     M: ManifoldSpec,
     J: AlmostComplexField,
     samples,
-    tolerance: float = 1e-8,
+    tolerance: float = Tolerances.algebraic,
     rng=None,
-    pairs: int = 4,
 ) -> CheckReport:
     """Symmetrized derivative residual, with a parallel-structure sub-verdict.
 
@@ -137,7 +140,7 @@ def check_nearly_kaehler(
         g = M.metric_at(p)
         nk_max = 0.0
         ka_max = 0.0
-        for _ in range(pairs):
+        for _ in range(NEARLY_KAEHLER_PAIRS):
             xv, yv = _unit_vectors(g, rng, 2)
             dxy = nabla_phi(M, J, xv, yv, p)
             dyx = nabla_phi(M, J, yv, xv, p)

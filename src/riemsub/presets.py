@@ -1,31 +1,16 @@
 """Bundled metric / complex-structure / map presets.
 
-These are the fixtures referenced by name in scenario files and throughout
-the test suite:
-
-* ``euclidean-r4`` — flat metric on R^4 (generic ``euclidean`` works in any
-  dimension);
-* ``conformal-r2`` — ``exp(2*x1)`` times the flat metric on R^2, the
-  smallest metric with nonzero connection coefficients;
-* ``canonical-phi`` — the constant orthogonal complex structure on R^4
-  sending e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3;
-* ``twisted-phi`` — the canonical structure conjugated by a rotation of
-  angle x1 in the (e2, e3)-plane: still orthogonal and squaring to -I, but
-  not parallel, so it fails the symmetrized-derivative test at generic
-  points (negative fixture);
-* ``map-example-i`` — ((x1 + x2)/sqrt(2), x3, x4) to R^3;
-* ``map-example-ii`` — (sqrt(x1^2 + x2^2), x3, x4) to R^3, singular on the
-  x3x4-axis.
+``PRESETS`` maps each name that scenario files may use (and that
+``riemsub presets`` lists) to its kind, description and builder; the
+builder functions themselves serve the test suite and the demos.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from .expr import Const, parse
 from .geometry import ManifoldSpec, SamplingDomain, box_domain
-
-
-def _expr_matrix(rows, dim: int):
-    return [[parse(s, dim) if isinstance(s, str) else s for s in row] for row in rows]
 
 
 def _matmul(A, B):
@@ -56,6 +41,7 @@ def euclidean_manifold(dim: int, domain: SamplingDomain | None = None) -> Manifo
 
 
 def conformal_metric_r2():
+    """The smallest metric with nonzero connection coefficients."""
     e = parse("exp(2 * x1)", 2)
     return [[e, Const(0.0)], [Const(0.0), e]]
 
@@ -67,7 +53,8 @@ def conformal_r2(domain: SamplingDomain | None = None) -> ManifoldSpec:
 
 
 def canonical_phi():
-    """Constant block structure: column j holds the image of e_j."""
+    """Constant block structure: column j holds the image of e_j, so
+    e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3."""
     rows = [
         [0.0, 1.0, 0.0, 0.0],
         [-1.0, 0.0, 0.0, 0.0],
@@ -78,7 +65,11 @@ def canonical_phi():
 
 
 def twisted_phi():
-    """Canonical structure conjugated by an x1-dependent (e2, e3) rotation."""
+    """Canonical structure conjugated by an x1-dependent (e2, e3) rotation.
+
+    Still orthogonal and squaring to -I, but not parallel, so it fails the
+    symmetrized-derivative test at generic points (negative fixture).
+    """
     c = parse("cos(x1)", 4)
     s = parse("sin(x1)", 4)
     one, zero = Const(1.0), Const(0.0)
@@ -97,52 +88,47 @@ def map_example_i_components():
 
 
 def map_example_ii_components():
+    """Singular on the x3x4-axis."""
     return tuple(parse(s, 4) for s in ["sqrt(x1^2 + x2^2)", "x3", "x4"])
 
 
-# name -> (kind, one-line description)
-CATALOG = {
-    "euclidean": ("metric", "flat metric, any dimension"),
-    "euclidean-r4": ("metric", "flat metric on R^4"),
-    "conformal-r2": ("metric", "exp(2*x1) times the flat metric on R^2"),
-    "canonical-phi": ("phi", "constant orthogonal complex structure on R^4"),
-    "twisted-phi": (
-        "phi",
-        "canonical structure conjugated by an x1-rotation in (e2,e3); "
-        "synthetic non-parallel negative fixture",
-    ),
-    "map-example-i": ("map", "((x1 + x2)/sqrt(2), x3, x4) onto R^3"),
-    "map-example-ii": ("map", "(sqrt(x1^2 + x2^2), x3, x4) onto R^3"),
+class Preset(NamedTuple):
+    """A named fixture: its kind ("metric", "phi" or "map"), a one-line
+    description, the builder of its entries from the source dimension, and
+    the dimension it requires (None: any, or checked by kind)."""
+
+    kind: str
+    description: str
+    build: Callable[[int], object]
+    dim: int | None = None
+
+
+PRESETS = {
+    "euclidean": Preset("metric", "flat metric, any dimension", euclidean_metric),
+    "euclidean-r4": Preset("metric", "flat metric on R^4", euclidean_metric, 4),
+    "conformal-r2": Preset("metric", "exp(2*x1) times the flat metric on R^2",
+                           lambda _: conformal_metric_r2(), 2),
+    "canonical-phi": Preset("phi", "constant orthogonal complex structure on R^4",
+                            lambda _: canonical_phi()),
+    "twisted-phi": Preset("phi", "canonical structure conjugated by an x1-rotation "
+                          "in (e2,e3); synthetic non-parallel negative fixture",
+                          lambda _: twisted_phi()),
+    "map-example-i": Preset("map", "((x1 + x2)/sqrt(2), x3, x4) onto R^3",
+                            lambda _: map_example_i_components()),
+    "map-example-ii": Preset("map", "(sqrt(x1^2 + x2^2), x3, x4) onto R^3",
+                             lambda _: map_example_ii_components()),
 }
 
 
-def metric_preset(name: str, dim: int):
-    if name == "euclidean":
-        return euclidean_metric(dim)
-    if name == "euclidean-r4":
-        if dim != 4:
-            raise ValueError("euclidean-r4 requires dim 4")
-        return euclidean_metric(4)
-    if name == "conformal-r2":
-        if dim != 2:
-            raise ValueError("conformal-r2 requires dim 2")
-        return conformal_metric_r2()
-    raise ValueError(f"unknown metric preset {name!r}")
-
-
-def phi_preset(name: str, dim: int):
-    if dim != 4:
+def build_preset(kind: str, name: str, dim: int):
+    """Entries of the ``kind`` preset ``name`` over a source of dimension
+    ``dim``; a ``ValueError`` names what does not fit."""
+    if kind == "phi" and dim != 4:
+        # Every complex-structure preset lives on R^4.
         raise ValueError(f"phi preset {name!r} requires dim 4")
-    if name == "canonical-phi":
-        return canonical_phi()
-    if name == "twisted-phi":
-        return twisted_phi()
-    raise ValueError(f"unknown phi preset {name!r}")
-
-
-def map_preset(name: str):
-    if name == "map-example-i":
-        return map_example_i_components()
-    if name == "map-example-ii":
-        return map_example_ii_components()
-    raise ValueError(f"unknown map preset {name!r}")
+    preset = PRESETS.get(name)
+    if preset is None or preset.kind != kind:
+        raise ValueError(f"unknown {kind} preset {name!r}")
+    if preset.dim is not None and dim != preset.dim:
+        raise ValueError(f"{name} requires dim {preset.dim}")
+    return preset.build(dim)

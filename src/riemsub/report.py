@@ -10,6 +10,25 @@ import numpy as np
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """Default tolerance classes: exact-arithmetic identities, checks that
+    go through finite differencing, and per-unit-length drift along curves.
+
+    The class attributes are also the default ``tolerance`` of each check
+    function, so a check run outside a scenario uses the same thresholds.
+    """
+
+    algebraic: float = 1e-8
+    fd: float = 1e-6
+    drift: float = 1e-5
+
+    def scaled(self, scale: float) -> "Tolerances":
+        return Tolerances(
+            self.algebraic * scale, self.fd * scale, self.drift * scale
+        )
+
+
 def _jsonify(value):
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}

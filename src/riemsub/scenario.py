@@ -17,11 +17,12 @@ from pathlib import Path
 
 import yaml
 
-from .clairaut import ClairautScenario, SamplingConfig, Tolerances
+from .clairaut import ClairautScenario, SamplingConfig
 from .expr import ExprError, parse
 from .geometry import ExclusionTube, ManifoldSpec, SamplingDomain
 from .hermitian import AlmostComplexField
-from .presets import map_preset, metric_preset, phi_preset
+from .presets import build_preset
+from .report import Tolerances
 from .submersion import SmoothMap
 
 
@@ -88,6 +89,14 @@ def _as_vector(value, dim: int, path: str) -> tuple:
     return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def nonzero_velocity(v0: tuple, path: str) -> tuple:
+    """``v0`` unchanged; a zero initial velocity has no direction, so the
+    angle the Clairaut checks measure along its curve is undefined."""
+    if not any(v0):
+        _err(path, "must be nonzero")
+    return v0
+
+
 def _parse_expr(text, dim: int, path: str):
     if not isinstance(text, str):
         _err(path, "expected an expression string")
@@ -132,67 +141,40 @@ def _load_manifold(raw, path: str) -> ManifoldSpec:
     dim = _as_int(raw["dim"], f"{path}.dim")
     if dim < 1:
         _err(f"{path}.dim", "must be positive")
-    metric_raw = raw["metric"]
-    if isinstance(metric_raw, str):
-        try:
-            metric = metric_preset(metric_raw, dim)
-        except ValueError as exc:
-            _err(f"{path}.metric", str(exc))
-    elif isinstance(metric_raw, list):
-        if len(metric_raw) != dim or any(
-            not isinstance(row, list) or len(row) != dim for row in metric_raw
-        ):
-            _err(f"{path}.metric", f"expected a {dim}x{dim} matrix of strings")
-        metric = [
-            [
-                _parse_expr(metric_raw[i][j], dim, f"{path}.metric[{i}][{j}]")
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-    else:
-        _err(f"{path}.metric", "expected a preset name or a matrix of strings")
+    metric = _load_entries(raw["metric"], "metric", (dim, dim), dim, f"{path}.metric")
     domain = _load_domain(raw["domain"], dim, f"{path}.domain")
     return ManifoldSpec(dim, metric, domain)
 
 
-def _load_phi(raw, dim: int, path: str) -> AlmostComplexField:
+def _load_entries(raw, kind: str, shape: tuple, dim: int, path: str):
+    """Expression entries of a metric, phi or map: the ``kind`` preset named
+    by ``raw``, or ``raw`` parsed as an n x n matrix (``shape`` (n, n)) or a
+    list (``shape`` (n,)) of expressions over ``x1..x<dim>``."""
+    matrix = len(shape) == 2
     if isinstance(raw, str):
         try:
-            return AlmostComplexField(phi_preset(raw, dim))
+            return build_preset(kind, raw, dim)
         except ValueError as exc:
             _err(path, str(exc))
-    if isinstance(raw, list):
-        if len(raw) != dim or any(
-            not isinstance(row, list) or len(row) != dim for row in raw
-        ):
-            _err(path, f"expected a {dim}x{dim} matrix of strings")
-        return AlmostComplexField(
-            [
-                [_parse_expr(raw[i][j], dim, f"{path}[{i}][{j}]") for j in range(dim)]
-                for i in range(dim)
-            ]
-        )
-    _err(path, "expected a preset name or a matrix of strings")
+    if not isinstance(raw, list):
+        _err(path, f"expected a preset name or a {'matrix' if matrix else 'list'} of strings")
+    if not matrix:
+        if len(raw) != shape[0]:
+            _err(path, f"expected {shape[0]} component expressions")
+        return [_parse_expr(e, dim, f"{path}[{i}]") for i, e in enumerate(raw)]
+    if len(raw) != shape[0] or any(not isinstance(r, list) or len(r) != shape[1] for r in raw):
+        _err(path, f"expected a {shape[0]}x{shape[1]} matrix of strings")
+    return [
+        [_parse_expr(e, dim, f"{path}[{i}][{j}]") for j, e in enumerate(row)]
+        for i, row in enumerate(raw)
+    ]
 
 
 def _load_map(raw, source: ManifoldSpec, target: ManifoldSpec, path: str) -> SmoothMap:
-    if isinstance(raw, str):
-        try:
-            components = map_preset(raw)
-        except ValueError as exc:
-            _err(path, str(exc))
-        if len(components) != target.dim:
-            _err(path, f"preset has {len(components)} components, target dim is {target.dim}")
-    elif isinstance(raw, list):
-        if len(raw) != target.dim:
-            _err(path, f"expected {target.dim} component expressions")
-        components = tuple(
-            _parse_expr(raw[i], source.dim, f"{path}[{i}]") for i in range(len(raw))
-        )
-    else:
-        _err(path, "expected a preset name or a list of strings")
-    return SmoothMap(source, target, components)
+    components = _load_entries(raw, "map", (target.dim,), source.dim, path)
+    if len(components) != target.dim:  # only a preset can disagree
+        _err(path, f"preset has {len(components)} components, target dim is {target.dim}")
+    return SmoothMap(source, target, tuple(components))
 
 
 def load_scenario(path) -> ScenarioBundle:
@@ -219,7 +201,9 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
     target = _load_manifold(raw["target"], "target")
     if target.dim >= source.dim:
         _err("target.dim", "must be smaller than source.dim")
-    phi = _load_phi(raw["phi"], source.dim, "phi")
+    phi = AlmostComplexField(
+        _load_entries(raw["phi"], "phi", (source.dim, source.dim), source.dim, "phi")
+    )
     smap = _load_map(raw["map"], source, target, "map")
 
     clairaut_raw = _as_mapping(raw["clairaut"], "clairaut")
@@ -254,13 +238,15 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
         gpath = f"geodesics[{i}]"
         g_raw = _as_mapping(g_raw, gpath)
         _check_keys(g_raw, gpath, required=("p0", "v0", "length"), optional=("step",))
-        step = _as_number(g_raw.get("step", 1e-3), f"{gpath}.step")
+        step = _as_number(g_raw.get("step", GeodesicConfig.step), f"{gpath}.step")
         if step <= 0:
             _err(f"{gpath}.step", "must be positive")
         geodesics.append(
             GeodesicConfig(
                 p0=_as_vector(g_raw["p0"], source.dim, f"{gpath}.p0"),
-                v0=_as_vector(g_raw["v0"], source.dim, f"{gpath}.v0"),
+                v0=nonzero_velocity(
+                    _as_vector(g_raw["v0"], source.dim, f"{gpath}.v0"), f"{gpath}.v0"
+                ),
                 length=_as_number(g_raw["length"], f"{gpath}.length"),
                 step=step,
             )

@@ -40,9 +40,11 @@ from .geometry import (
     covariant_derivative,
     metric_norm,
 )
-from .report import CheckReport
+from .report import CheckReport, Tolerances
 
 FD_STEP = 1e-5
+# Random vector pairs per sample in ``check_skew``.
+SKEW_PAIRS = 3
 
 
 class SubmersionError(Exception):
@@ -97,11 +99,6 @@ class SmoothMap:
                 )
             )
         return self._hess.eval(np.asarray(point, dtype=float))
-
-
-def differential(F: SmoothMap, point) -> np.ndarray:
-    """The pushforward matrix (target dim x source dim) at ``point``."""
-    return F.jacobian_at(point)
 
 
 @dataclass
@@ -190,13 +187,9 @@ def build_frame(F: SmoothMap, point) -> Frame:
     return frame
 
 
-def project(frame: Frame, v):
-    """Metric-orthogonal (vertical, horizontal) decomposition of ``v``."""
-    vert = frame.vertical_part(v)
-    return vert, np.asarray(v, dtype=float) - vert
-
-
-def check_submersion(F: SmoothMap, samples, tolerance: float = 1e-8) -> CheckReport:
+def check_submersion(
+    F: SmoothMap, samples, tolerance: float = Tolerances.algebraic
+) -> CheckReport:
     """Maximal rank plus horizontal-length preservation at each sample."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     residual = 0.0
@@ -224,8 +217,9 @@ def five_point(samples, h: float) -> np.ndarray:
     return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
 
 
-def _directional_derivative(fn, p, u, h: float = FD_STEP) -> np.ndarray:
+def _directional_derivative(fn, p, u) -> np.ndarray:
     """Five-point fourth-order directional derivative of a vector function."""
+    h = FD_STEP
     return five_point([fn(p + t * u) for t in (-2.0 * h, -h, h, 2.0 * h)], h)
 
 
@@ -307,9 +301,8 @@ def tensor_A(F: SmoothMap, E, Fld, point, frame=None, gamma=None) -> np.ndarray:
 def check_skew(
     F: SmoothMap,
     samples,
-    tolerance: float = 1e-8,
+    tolerance: float = Tolerances.algebraic,
     rng=None,
-    pairs: int = 3,
 ) -> CheckReport:
     """Skew-symmetry of both tensors against random vector pairs."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -319,7 +312,7 @@ def check_skew(
         fr = build_frame(F, p)
         gamma = christoffel(F.source, p)
         g = fr.metric
-        for _ in range(pairs):
+        for _ in range(SKEW_PAIRS):
             e = rng.standard_normal(F.source.dim)
             f = rng.standard_normal(F.source.dim)
             e /= metric_norm(g, e)
@@ -342,7 +335,7 @@ def check_skew(
 
 
 def check_decompositions(
-    F: SmoothMap, samples, tolerance: float = 1e-8
+    F: SmoothMap, samples, tolerance: float = Tolerances.algebraic
 ) -> CheckReport:
     """Consistency of T and A with the four split covariant derivatives.
 
@@ -407,7 +400,9 @@ def second_fundamental_form(F: SmoothMap, E, Fld, point) -> np.ndarray:
     return term1 - term2
 
 
-def check_sff_vertical(F: SmoothMap, samples, tolerance: float = 1e-6) -> CheckReport:
+def check_sff_vertical(
+    F: SmoothMap, samples, tolerance: float = Tolerances.fd
+) -> CheckReport:
     """Second fundamental form of the map against the fiber tensor.
 
     For vertical pairs the pushforward kills everything except the
@@ -431,7 +426,7 @@ def check_sff_vertical(F: SmoothMap, samples, tolerance: float = 1e-6) -> CheckR
 
 
 def fiber_character(
-    F: SmoothMap, samples, tolerance: float = 1e-6
+    F: SmoothMap, samples, tolerance: float = Tolerances.fd
 ) -> CheckReport:
     """Mean curvature and umbilical / geodesic character of the fibers.
 

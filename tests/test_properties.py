@@ -1,18 +1,32 @@
-"""Property tests: compiled evaluation and analytic fundamental tensors.
+"""Property tests: compiled evaluation, exact derivatives, frames and the
+analytic fundamental tensors.
 
 The per-node ``Expr.eval`` walk is the reference for :class:`ExprArray`,
 which must reproduce its values bit for bit and its errors word for word.
-The finite-difference oracle of ``check_decompositions`` (covariant
-derivatives of fields re-projected at displaced points) is the reference
-for the analytic ``tensor_T`` / ``tensor_A``.
+Central differences (``fd_derivative``) are the reference for the exact
+derivatives of ``differentiate``.  Every frame must be g-orthonormal with
+complementary projectors.  The finite-difference oracle of
+``check_decompositions`` (covariant derivatives of fields re-projected at
+displaced points) is the reference for the analytic ``tensor_T`` /
+``tensor_A``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from riemsub.expr import ExprArray, parse
+from riemsub.expr import (
+    FD_REL_STEP,
+    Div,
+    DomainError,
+    ExprArray,
+    Func,
+    Pow,
+    differentiate,
+    fd_derivative,
+    parse,
+)
 from riemsub.geometry import VectorField, christoffel
 from riemsub.submersion import (
     _covariant_projected,
@@ -86,12 +100,85 @@ def test_compiled_matches_tree_walk_bit_for_bit(e, p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_expressions(infinite=False))
+@given(expressions)
 def test_print_parse_round_trip_is_exact(e):
     # Printing is the inverse of parsing up to the printed form: the printer
-    # parenthesizes exactly where the grammar needs it.
+    # parenthesizes exactly where the grammar needs it, and an infinite
+    # constant prints as a literal that overflows back to it.
     text = str(e)
     assert str(parse(text, 3)) == text
+
+
+# ---------------------------------------------------------------------------
+# Exact derivatives against central differences
+# ---------------------------------------------------------------------------
+
+
+def _subexpressions(e):
+    yield e
+    for name in ("a", "b", "base", "arg"):
+        child = getattr(e, name, None)
+        if child is not None:
+            yield from _subexpressions(child)
+
+
+def _singular_arguments(e):
+    """The subexpressions of ``e`` at whose zeros ``e`` need not be smooth:
+    denominators, the arguments of sqrt and ln, and the bases of powers
+    other than non-negative integers."""
+    for s in _subexpressions(e):
+        if isinstance(s, Div):
+            yield s.b
+        elif isinstance(s, Func) and s.name in ("sqrt", "ln"):
+            yield s.arg
+        elif isinstance(s, Pow) and not (s.exponent >= 0 and s.exponent.is_integer()):
+            yield s.base
+
+
+def _clear_of_zero(values) -> bool:
+    """Whether values across a stencil stay twice their spread away from
+    zero, so the stencil does not reach a singularity or a kink such as
+    sqrt(x1^2) at x1 = 0."""
+    return min(map(abs, values)) > 2.0 * (max(values) - min(values))
+
+
+_fd_coordinates = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-3.0, 3.0, allow_nan=False)
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_expressions(infinite=False), st.tuples(*[_fd_coordinates] * 3))
+def test_differentiate_matches_fd_derivative(e, p):
+    compared = 0
+    for i in (1, 2, 3):
+        h = FD_REL_STEP * max(1.0, abs(p[i - 1]))
+        stencil = [
+            tuple(x + t * h if k == i - 1 else x for k, x in enumerate(p))
+            for t in (-1.0, 0.0, 1.0)
+        ]
+        d1 = differentiate(e, i)
+        d3 = differentiate(differentiate(d1, i), i)
+        try:
+            approx = fd_derivative(e, i, p)
+            exact = d1.eval(p)
+            size = max(abs(s.eval(q)) for s in _subexpressions(e) for q in stencil)
+            curvature = max(abs(d3.eval(q)) for q in stencil)
+            clear = all(
+                _clear_of_zero([y.eval(q) for q in stencil]) for y in _singular_arguments(e)
+            )
+        except DomainError:
+            continue
+        # Rounding in the two evaluations grows with the largest intermediate
+        # value; keep it small next to the step.  An overflowing third
+        # derivative leaves no truncation bound.
+        if size > 1e3 or not clear or not np.isfinite(curvature):
+            continue
+        # Truncation error h^2/6 |f'''| (bounded with margin over the
+        # stencil) plus that rounding.
+        assert abs(approx - exact) <= h * h * curvature + 1e-6 * (1.0 + size), i
+        compared += 1
+    assume(compared)
 
 
 def test_compiled_array_keeps_shape_and_reports_first_singular_node():
@@ -190,3 +277,40 @@ def test_analytic_tensors_match_stencil_warped(x1, x2, x3, x4, seed):
     for F in _WARPED_MAPS:
         _assert_tensors_match_stencil(F, p, seed)
         _assert_tensors_match_stencil(F, p, seed, _FIELD)
+
+
+# ---------------------------------------------------------------------------
+# Frames: g-orthonormal bases and complementary projectors
+# ---------------------------------------------------------------------------
+
+
+def _assert_frame_splits(F, p):
+    fr = build_frame(F, p)
+    g, eye = fr.metric, np.eye(len(p))
+    basis = np.vstack([fr.vertical, fr.horizontal])
+    assert abs(basis @ g @ basis.T - eye).max() <= 1e-10, p
+    assert abs(F.jacobian_at(p) @ fr.vertical.T).max() <= 1e-10, p
+    # P_V through the frame's own projection; P_H from the horizontal basis.
+    P_V = np.column_stack([fr.vertical_part(e) for e in eye])
+    P_H = fr.horizontal.T @ fr.horizontal @ g
+    assert abs(P_V @ P_V - P_V).max() <= 1e-10, p
+    assert abs(P_V + P_H - eye).max() <= 1e-10, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.3, 3.0), st.floats(0.0, 2.0 * np.pi), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_frame_splits_example_ii(r, angle, x3, x4):
+    _assert_frame_splits(_RADIUS_MAP, np.array([r * np.cos(angle), r * np.sin(angle), x3, x4]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.3, 2.5), _signs, _signs, st.floats(-3.0, 3.0))
+def test_frame_splits_at_ties(a, s1, s2, x3):
+    _assert_frame_splits(_RADIUS_MAP, np.array([s1 * a, s2 * a, x3, 0.2]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_box, _box, _box, _box)
+def test_frame_splits_warped(x1, x2, x3, x4):
+    for F in _WARPED_MAPS:
+        _assert_frame_splits(F, np.array([x1, x2, x3, x4]))

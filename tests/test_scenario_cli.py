@@ -192,6 +192,27 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["check"], _with(MINIMAL, tolerances={"fd": 10**400}),
             "tolerances.fd", id="integer-beyond-float-range",
         ),
+        pytest.param(
+            ["check"], _with(MINIMAL, clairaut={"f": "sin(x1 * 1e400)"}),
+            "of an infinite value", id="sine-of-infinity",
+        ),
+        pytest.param(
+            ["geodesic", "--p0=1,0,0,0", "--v0=inf,0,0,0", "--length", "0.01"], MINIMAL,
+            "--v0: expected finite numbers", id="geodesic-infinite-v0",
+        ),
+        pytest.param(
+            ["geodesic", "--p0=1,0,0,0", "--v0=nan,0,0,0", "--length", "0.01"], MINIMAL,
+            "--v0: expected finite numbers", id="geodesic-nan-v0",
+        ),
+        # A zero initial velocity leaves the Clairaut angle undefined.
+        pytest.param(
+            ["geodesic", "--p0=1,0,0,0", "--v0=0,0,0,0"], MINIMAL,
+            "--v0: must be nonzero", id="geodesic-zero-v0",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[0, 0, 0, 0])]),
+            "geodesics[0].v0: must be nonzero", id="zero-v0",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
