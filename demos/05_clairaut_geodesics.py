@@ -22,6 +22,7 @@ from riemsub import (
     check_bishop,
     check_clairaut_condition,
     clairaut_invariant,
+    curve_windows,
     geodesic_condition_residuals,
     geodesic_integrate,
     interior_indices,
@@ -63,10 +64,11 @@ print()
 print("== geodesic-condition residuals ==")
 traj = geodesic_integrate(sc.M, (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2), 2.0, 1e-3)
 idx = interior_indices(traj, count=5)
-for i in idx:
-    rv, rh = geodesic_condition_residuals(sc, traj, i)
+windows = curve_windows(sc, traj, idx)  # each window carries both residuals
+for i, w in zip(idx, windows):
+    rv, rh = w.residuals
     print(f"s = {traj.s[i]:.3f}: vertical {rv:.2e}   horizontal {rh:.2e}")
-rep = check_clairaut_condition(sc, traj, idx)
+rep = check_clairaut_condition(sc, windows)
 print(f"Clairaut rate identity residual: {rep.max_residual:.2e} ({rep.verdict})")
 
 print()

@@ -44,6 +44,11 @@ class NonGeodesicError(Exception):
     """A curve handed to a geodesics-only check failed the geodesic gate."""
 
 
+# Below this metric speed a curve has no direction, so the angle the
+# Clairaut invariant measures is undefined.
+MIN_SPEED = 1e-12
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     count: int = 200
@@ -213,7 +218,7 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
         # Trajectory points are not revisited, so they bypass the frame memo.
         fr = frame_at(sc.F, p)
         speed = metric_norm(fr.metric, v)
-        if speed < 1e-12:
+        if speed < MIN_SPEED:
             raise ValueError("curve is not regular: zero velocity sample")
         sin_theta[i] = metric_norm(fr.metric, fr.vertical_part(v)) / speed
         invariant[i] = np.exp(sc.f.eval(p)) * sin_theta[i]
@@ -238,32 +243,35 @@ def clairaut_invariant(sc: ClairautScenario, traj: GeodesicTrajectory) -> CheckR
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CurveWindow:
-    """Split state at an interior trajectory sample.
+    """Residuals at one interior trajectory sample: the vertical and the
+    horizontal geodesic condition (``residuals``) and the Clairaut rate
+    identity (``clairaut_residual``)."""
 
-    The velocity splits as ``v = U + X`` (vertical, horizontal) and
-    ``phi X = alpha + beta`` (vertical, in mu); ``d_*`` are the covariant
-    derivatives of ``phi U``, ``alpha`` and ``beta`` along the curve.
-    """
-
-    point: np.ndarray
-    velocity: np.ndarray
-    frame: Frame
-    gamma: np.ndarray
-    U: np.ndarray
-    X: np.ndarray
-    phiU: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    d_phiU: np.ndarray
-    d_alpha: np.ndarray
-    d_beta: np.ndarray
+    residuals: tuple
+    clairaut_residual: float
 
 
 def _curve_window(sc: ClairautScenario, traj: GeodesicTrajectory, i: int) -> _CurveWindow:
-    """Split the five samples ``i-2..i+2`` and differentiate along the curve
-    with the five-point stencil."""
+    """Split the five samples ``i-2..i+2`` as ``v = U + X`` (vertical,
+    horizontal) and ``phi X = alpha + beta`` (vertical, in mu), take the
+    covariant derivatives of ``phi U``, ``alpha`` and ``beta`` along the
+    curve with the five-point stencil, and evaluate at sample ``i``:
+
+    Vertical condition:
+        A_X phiU + A_X beta + T_U beta + V nabla_X alpha
+            + T_U phiU + V nabla_U alpha
+    Horizontal condition:
+        H(nabla_h phiU + nabla_h beta) + A_X alpha + T_U alpha
+    Clairaut rate identity:
+        g(grad f, X) g(U, U) = g(H nabla_h beta + A_X alpha + T_U alpha
+            + P_h U, phi U)
+
+    The non-tensorial derivative groups combine into the covariant
+    derivatives along the curve; the remaining terms are tensors evaluated
+    at the sample point.
+    """
     if i < 2 or i > len(traj) - 3:
         raise ValueError("index must leave a margin of two interior samples")
     states = []
@@ -279,47 +287,31 @@ def _curve_window(sc: ClairautScenario, traj: GeodesicTrajectory, i: int) -> _Cu
         states.append((A @ U, alpha, phiX - alpha, fr, U, X))
     p, v = traj.points[i], traj.velocities[i]
     gamma = christoffel(sc.M, p)
-    covd = [
+    d_phiU, d_alpha, d_beta = (
         five_point([st[k] for st in states[:2] + states[3:]], traj.step)
         + np.einsum("kij,i,j->k", gamma, v, states[2][k])
         for k in range(3)
-    ]
+    )
     phiU, alpha, beta, fr, U, X = states[2]
-    return _CurveWindow(p, v, fr, gamma, U, X, phiU, alpha, beta, *covd)
-
-
-def _condition_residuals(sc: ClairautScenario, w: _CurveWindow):
-    F, p, fr, gamma = sc.F, w.point, w.frame, w.gamma
+    F, g = sc.F, fr.metric
+    a_alpha = tensor_A(F, X, alpha, p, fr, gamma)
+    t_alpha = tensor_T(F, U, alpha, p, fr, gamma)
     r_vert = (
-        tensor_A(F, w.X, w.phiU, p, fr, gamma)
-        + tensor_A(F, w.X, w.beta, p, fr, gamma)
-        + tensor_T(F, w.U, w.beta, p, fr, gamma)
-        + tensor_T(F, w.U, w.phiU, p, fr, gamma)
-        + fr.vertical_part(w.d_alpha)
+        tensor_A(F, X, phiU, p, fr, gamma)
+        + tensor_A(F, X, beta, p, fr, gamma)
+        + tensor_T(F, U, beta, p, fr, gamma)
+        + tensor_T(F, U, phiU, p, fr, gamma)
+        + fr.vertical_part(d_alpha)
     )
-    r_horiz = (
-        fr.horizontal_part(w.d_phiU + w.d_beta)
-        + tensor_A(F, w.X, w.alpha, p, fr, gamma)
-        + tensor_T(F, w.U, w.alpha, p, fr, gamma)
+    r_horiz = fr.horizontal_part(d_phiU + d_beta) + a_alpha + t_alpha
+    lhs = float(gradient(sc.M, sc.f, p) @ g @ X) * float(U @ g @ U)
+    rhs = (
+        fr.horizontal_part(d_beta) + a_alpha + t_alpha
+        + fr.horizontal_part(nabla_phi(sc.M, sc.J, v, U, p))
     )
-    return metric_norm(fr.metric, r_vert), metric_norm(fr.metric, r_horiz)
-
-
-def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory, i: int):
-    """Residual norms of the two geodesic conditions at interior sample ``i``.
-
-    Vertical condition:
-        A_X phiU + A_X beta + T_U beta + V nabla_X alpha
-            + T_U phiU + V nabla_U alpha
-    Horizontal condition:
-        H(nabla_h phiU + nabla_h beta) + A_X alpha + T_U alpha
-
-    The two non-tensorial derivative groups combine into covariant
-    derivatives of the split fields along the curve, realized with a
-    five-point stencil over neighboring trajectory samples; the remaining
-    terms are tensors evaluated at the sample point.
-    """
-    return _condition_residuals(sc, _curve_window(sc, traj, i))
+    return _CurveWindow(
+        (metric_norm(g, r_vert), metric_norm(g, r_horiz)), abs(lhs - float(rhs @ g @ phiU))
+    )
 
 
 def interior_indices(traj: GeodesicTrajectory, count: int = 10):
@@ -330,51 +322,45 @@ def interior_indices(traj: GeodesicTrajectory, count: int = 10):
     return sorted(set(np.linspace(lo, hi, min(count, hi - lo + 1)).astype(int)))
 
 
-def check_geodesic_conditions(
-    sc: ClairautScenario, traj: GeodesicTrajectory, indices=None
-) -> CheckReport:
-    """Both geodesic-condition residuals over a set of interior samples."""
+def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) -> list:
+    """The geodesic-condition and Clairaut-rate residuals at each interior
+    sample of ``indices`` (default: :func:`interior_indices`), which the
+    two curve checks read."""
     indices = interior_indices(traj) if indices is None else indices
+    return [_curve_window(sc, traj, i) for i in indices]
+
+
+def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory, i: int):
+    """Residual norms of the vertical and the horizontal geodesic condition
+    at interior sample ``i`` (see :func:`curve_windows`)."""
+    return _curve_window(sc, traj, i).residuals
+
+
+def check_geodesic_conditions(sc: ClairautScenario, windows) -> CheckReport:
+    """Both geodesic-condition residuals over a list of curve windows."""
     residual = 0.0
-    for i in indices:
-        rv, rh = geodesic_condition_residuals(sc, traj, i)
-        residual = max(residual, rv, rh)
+    for w in windows:
+        residual = max(residual, *w.residuals)
     return CheckReport.from_residual(
-        "geodesic-conditions", "th1", len(indices), residual, sc.tolerances.drift
+        "geodesic-conditions", "th1", len(windows), residual, sc.tolerances.drift
     )
 
 
-def check_clairaut_condition(
-    sc: ClairautScenario, traj: GeodesicTrajectory, indices=None
-) -> CheckReport:
-    """Residual of the Clairaut rate identity along a geodesic:
-    ``g(grad f, X) g(U, U) = g(H nabla_h beta + A_X alpha + T_U alpha
-    + P_h U, phi U)``.  Rejects curves that fail the geodesic gate, which
-    reads the same windows as the residual."""
-    tolerance = sc.tolerances.drift
-    indices = interior_indices(traj) if indices is None else indices
-    windows = [_curve_window(sc, traj, i) for i in indices]
-    gate = 0.0
-    for w in windows:
-        gate = max(gate, *_condition_residuals(sc, w))
-    if gate > tolerance:
+def check_clairaut_condition(sc: ClairautScenario, windows) -> CheckReport:
+    """Residual of the Clairaut rate identity along a geodesic (see
+    :func:`curve_windows`).  Rejects curves that fail the geodesic gate,
+    read from the residuals the windows carry."""
+    gate = check_geodesic_conditions(sc, windows)
+    if not gate.passed:
         raise NonGeodesicError(
-            f"geodesic-condition residual {gate:.3e} exceeds {tolerance:.3e}; "
-            "input curve is not a geodesic"
+            f"geodesic-condition residual {gate.max_residual:.3e} exceeds "
+            f"{gate.tolerance:.3e}; input curve is not a geodesic"
         )
     residual = 0.0
     for w in windows:
-        p, fr, g = w.point, w.frame, w.frame.metric
-        lhs = float(gradient(sc.M, sc.f, p) @ g @ w.X) * float(w.U @ g @ w.U)
-        rhs_vec = (
-            fr.horizontal_part(w.d_beta)
-            + tensor_A(sc.F, w.X, w.alpha, p, fr, w.gamma)
-            + tensor_T(sc.F, w.U, w.alpha, p, fr, w.gamma)
-            + fr.horizontal_part(nabla_phi(sc.M, sc.J, w.velocity, w.U, p))
-        )
-        residual = max(residual, abs(lhs - float(rhs_vec @ g @ w.phiU)))
+        residual = max(residual, w.clairaut_residual)
     return CheckReport.from_residual(
-        "clairaut-condition", "eq-6", len(indices), residual, tolerance
+        "clairaut-condition", "eq-6", len(windows), residual, gate.tolerance
     )
 
 

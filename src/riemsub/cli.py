@@ -18,11 +18,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .clairaut import (
+    MIN_SPEED,
+    ClairautScenario,
     NonGeodesicError,
     check_anti_invariant,
     check_bishop,
@@ -32,6 +35,7 @@ from .clairaut import (
     check_pq_identities,
     check_thm33_identity,
     clairaut_invariant,
+    curve_windows,
     interior_indices,
     invariant_series,
     pq_curve_residual,
@@ -39,19 +43,20 @@ from .clairaut import (
 from .expr import ExprError
 from .geometry import (
     DomainExitError,
+    GeodesicTrajectory,
     GeometryError,
     geodesic_integrate,
+    metric_norm,
     sample_points,
 )
 from .hermitian import check_nearly_kaehler, check_structure
 from .presets import PRESETS
-from .report import SKIP, CheckReport, ReportDocument
+from .report import FAIL, SKIP, CheckReport, ReportDocument, Tolerances
 from .scenario import (
     GeodesicConfig,
     ScenarioValidationError,
     bundled_scenario_names,
     load_scenario,
-    nonzero_velocity,
     resolve_scenario_path,
 )
 from .submersion import (
@@ -70,10 +75,109 @@ EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 # vanishing symmetrized structure derivative applies only when both hold;
 # otherwise those checks are skipped, not failed.
 OUTSIDE_SETTING = "scenario is outside the anti-invariant nearly-parallel setting"
+_IN_SETTING = (("nearly-kaehler", OUTSIDE_SETTING), ("anti-invariance", OUTSIDE_SETTING))
+_UMBILIC = _IN_SETTING + (("bishop-clairaut", "umbilicity criterion failed"),)
 
 
-def _skip(name: str, ref: str, reason: str) -> CheckReport:
-    return CheckReport(name, ref, 0, 0.0, 0.0, SKIP, {"reason": reason})
+@dataclass
+class _Run:
+    """What a table entry's ``run`` reads: the scenario, its tolerances,
+    probe generators and sample points, the reports so far by table name
+    and, for ``geodesic-`` entries, one trajectory and its interior indices,
+    whose curve windows are built on first use and then shared."""
+
+    sc: ClairautScenario
+    tol: Tolerances
+    rngs: list
+    pts: np.ndarray
+    done: dict
+    traj: GeodesicTrajectory | None = None
+    indices: list | None = None
+
+    @cached_property
+    def windows(self):
+        return curve_windows(self.sc, self.traj, self.indices)
+
+
+def _nearly_kaehler(s: _Run) -> CheckReport:
+    report = check_nearly_kaehler(s.sc.M, s.sc.J, s.pts, tolerance=s.tol.algebraic, rng=s.rngs[2])
+    # Per-sample series are diagnostics, too bulky for the report.
+    del report.details["per_sample"], report.details["kaehler_per_sample"]
+    return report
+
+
+def _fiber_character(s: _Run) -> CheckReport:
+    report = fiber_character(s.sc.F, s.pts, tolerance=s.tol.fd)
+    # Mean curvature vectors are per-sample diagnostics; keep the report flat.
+    report.details["mean_curvature_first_sample"] = report.details.pop("mean_curvature")[0]
+    return report
+
+
+# The check table, in report order: (name, ref, run, requires).  ``run(s)``
+# returns the report.  ``requires`` holds (check name, reason) pairs; the
+# first whose check did not pass makes the entry a skip with that reason, or,
+# when the reason is None, leaves the entry out of the report.  Entries named
+# ``geodesic-<check>`` run once per trajectory and report as
+# ``geodesic-<i>-<check>``; their requirements see that trajectory's reports.
+# The lambdas look each check function up by name when they run, so a
+# rebinding of that module-level name (a tracer's, say) reaches the call.
+CHECKS = (
+    ("structure", "eq-ka1", lambda s: check_structure(
+        s.sc.M, s.sc.J, s.pts, tolerance=s.tol.algebraic, rng=s.rngs[1]), ()),
+    ("nearly-kaehler", "eq-ka2", _nearly_kaehler, (("structure", "structure check failed"),)),
+    ("submersion-axioms", "def-submersion",
+     lambda s: check_submersion(s.sc.F, s.pts, tolerance=s.tol.algebraic), ()),
+    ("oneill-skew", "EQ2.14",
+     lambda s: check_skew(s.sc.F, s.pts, tolerance=s.tol.algebraic, rng=s.rngs[3]), ()),
+    ("oneill-decomposition", "EQ2.10-2.13",
+     lambda s: check_decompositions(s.sc.F, s.pts, tolerance=s.tol.algebraic), ()),
+    ("map-second-fundamental-form", "EQ2.15",
+     lambda s: check_sff_vertical(s.sc.F, s.pts, tolerance=s.tol.fd), ()),
+    ("anti-invariance", "def-anti-invariant", lambda s: check_anti_invariant(s.sc, s.pts), ()),
+    ("fiber-character", "eq-7", _fiber_character, ()),
+    ("bishop-clairaut", "th-bis", lambda s: check_bishop(s.sc, s.pts), ()),
+    ("pq-identities", "eq-c2/c3/c5", lambda s: check_pq_identities(
+        s.sc, s.pts, rng=s.rngs[4], include_antisymmetry=s.done["nearly-kaehler"].passed), ()),
+    ("aq-gradient-identity", "th2", lambda s: check_thm33_identity(s.sc, s.pts), _UMBILIC),
+    ("dichotomies", "th3", lambda s: check_dichotomies(
+        s.sc, s.pts, fiber_report=s.done["fiber-character"]), _UMBILIC),
+    ("geodesic-energy", "-", lambda s: CheckReport.from_residual(
+        "", "-", len(s.traj), s.traj.energy_drift, s.tol.algebraic * max(1.0, float(s.traj.s[-1])),
+        {"length": float(s.traj.s[-1])}), ()),
+    ("geodesic-conditions", "th1",
+     lambda s: check_geodesic_conditions(s.sc, s.windows), _IN_SETTING),
+    ("geodesic-pq-curve", "eq-c4", lambda s: CheckReport.from_residual(
+        "", "eq-c4", len(s.indices), pq_curve_residual(s.sc, s.traj, s.indices), s.tol.algebraic,
+    ), (("nearly-kaehler", None),)),
+    ("geodesic-invariant", "def-clairaut", lambda s: clairaut_invariant(s.sc, s.traj), ()),
+    ("geodesic-clairaut-condition", "eq-6", lambda s: check_clairaut_condition(s.sc, s.windows),
+     _UMBILIC + (("geodesic-conditions", "curve failed the geodesic gate"),)),
+)
+
+
+def _run_checks(entries, s: _Run, label=str) -> list:
+    """Reports of the table ``entries`` run in order on ``s``; ``label``
+    turns a table name into the name the report carries."""
+    reports = []
+    for name, ref, run, requires in entries:
+        unmet = [why for need, why in requires if not s.done[need].passed]
+        if unmet and unmet[0] is None:
+            continue
+        report = CheckReport("", ref, 0, 0.0, 0.0, SKIP, {"reason": unmet[0]}) if unmet else run(s)
+        report.name = label(name)
+        s.done[name] = report
+        reports.append(report)
+    return reports
+
+
+def _check_regular_start(M, cfg: GeodesicConfig, path: str) -> None:
+    """Reject a trajectory whose metric speed at ``p0`` is below
+    ``MIN_SPEED``: the angle the Clairaut checks measure along it is
+    undefined."""
+    if metric_norm(M.metric_at(cfg.p0), np.asarray(cfg.v0, dtype=float)) < MIN_SPEED:
+        raise ScenarioValidationError(
+            f"{path}: must be nonzero, with metric speed at least {MIN_SPEED:g} at p0"
+        )
 
 
 def run_scenario(
@@ -82,84 +186,35 @@ def run_scenario(
     samples: int | None = None,
     tolerance_scale: float = 1.0,
 ) -> ReportDocument:
-    """Run the full check suite for a scenario file.
-
-    Order: structure checks, submersion checks, anti-invariance, fiber
-    character, the umbilicity criterion, then the geodesic-based checks.
-    Checks whose preconditions failed are recorded as skipped; the overall
-    verdict passes only when every non-skipped check passes.
-    """
+    """Run ``CHECKS`` on a scenario file; the overall verdict passes only
+    when every check that was not skipped passes."""
     bundle = load_scenario(path)
     sc = bundle.scenario
     if samples is not None and samples < 1:
         raise ScenarioValidationError("--samples must be positive")
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
         raise ScenarioValidationError("--tolerance-scale must be finite and positive")
-    if seed is not None:
-        sc.sampling = type(sc.sampling)(count=sc.sampling.count, seed=seed)
-    if samples is not None:
-        sc.sampling = type(sc.sampling)(count=samples, seed=sc.sampling.seed)
-    tol = sc.tolerances.scaled(tolerance_scale)
-    sc.tolerances = tol
+    overrides = {"seed": seed, "count": samples}
+    sc.sampling = replace(sc.sampling, **{k: v for k, v in overrides.items() if v is not None})
+    sc.tolerances = tol = sc.tolerances.scaled(tolerance_scale)
+    for i, cfg in enumerate(bundle.geodesics):
+        _check_regular_start(sc.M, cfg, f"geodesics[{i}].v0")
 
-    seeds = np.random.SeedSequence(sc.sampling.seed).spawn(5)
-    pts = sample_points(sc.M.domain, sc.sampling.count, seeds[0])
+    rngs = [np.random.default_rng(x) for x in np.random.SeedSequence(sc.sampling.seed).spawn(5)]
+    pts = sample_points(sc.M.domain, sc.sampling.count, rngs[0])
     sc.M.validate(pts)
     sc.N.validate([sc.F.map_point(p) for p in pts[:25]])
 
-    checks = []
-
-    def add(name, ref, run, skip_if=()):
-        """Append ``run()`` under ``name`` (``ref`` labels a skip), or, if a
-        condition in ``skip_if`` holds, a skip carrying the first such
-        reason; return the report."""
-        reason = next((why for blocked, why in skip_if if blocked), None)
-        report = run() if reason is None else _skip(name, ref, reason)
-        report.name = name
-        checks.append(report)
-        return report
-
-    structure = add("structure", "eq-ka1", lambda: check_structure(
-        sc.M, sc.J, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[1])
-    ))
-    nk = add("nearly-kaehler", "eq-ka2", lambda: check_nearly_kaehler(
-        sc.M, sc.J, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[2])
-    ), [(not structure.passed, "structure check failed")])
-    # Per-sample series are diagnostics, too bulky for the report.
-    nk.details.pop("per_sample", None)
-    nk.details.pop("kaehler_per_sample", None)
-
-    add("submersion-axioms", "def-submersion",
-        lambda: check_submersion(sc.F, pts, tolerance=tol.algebraic))
-    add("oneill-skew", "EQ2.14", lambda: check_skew(
-        sc.F, pts, tolerance=tol.algebraic, rng=np.random.default_rng(seeds[3])
-    ))
-    add("oneill-decomposition", "EQ2.10-2.13",
-        lambda: check_decompositions(sc.F, pts, tolerance=tol.algebraic))
-    add("map-second-fundamental-form", "EQ2.15",
-        lambda: check_sff_vertical(sc.F, pts, tolerance=tol.fd))
-    anti = add("anti-invariance", "def-anti-invariant", lambda: check_anti_invariant(sc, pts))
-    fiber = add("fiber-character", "eq-7", lambda: fiber_character(sc.F, pts, tolerance=tol.fd))
-    # Mean curvature vectors are per-sample diagnostics; keep the report flat.
-    fiber.details["mean_curvature_first_sample"] = fiber.details.pop("mean_curvature")[0]
-    bishop = add("bishop-clairaut", "th-bis", lambda: check_bishop(sc, pts))
-    add("pq-identities", "eq-c2/c3/c5", lambda: check_pq_identities(
-        sc, pts, rng=np.random.default_rng(seeds[4]), include_antisymmetry=nk.passed
-    ))
-
-    outside = [(not (nk.passed and anti.passed), OUTSIDE_SETTING)]
-    umbilic = outside + [(not bishop.passed, "umbilicity criterion failed")]
-    add("aq-gradient-identity", "th2", lambda: check_thm33_identity(sc, pts), umbilic)
-    add("dichotomies", "th3",
-        lambda: check_dichotomies(sc, pts, fiber_report=fiber), umbilic)
-
+    state = _Run(sc, tol, rngs, pts, {})
+    checks = _run_checks([e for e in CHECKS if not e[0].startswith("geodesic-")], state)
+    per_curve = [e for e in CHECKS if e[0].startswith("geodesic-")]
     for i, cfg in enumerate(bundle.geodesics):
-        prefix = f"geodesic-{i}"
         try:
             traj = geodesic_integrate(sc.M, cfg.p0, cfg.v0, cfg.length, cfg.step)
         except (DomainExitError, ValueError) as exc:
-            add(f"{prefix}-integration", "-", lambda: CheckReport(
-                "", "-", 0, float("inf"), 0.0, "fail", {"error": str(exc)}
+            # No curve to check: one failed entry stands for its checks.
+            checks.append(CheckReport(
+                f"geodesic-{i}-integration", "-", 0, float("inf"), 0.0, FAIL, {"error": str(exc)}
             ))
             continue
         if len(traj) < 5:
@@ -167,22 +222,9 @@ def run_scenario(
                 f"geodesics[{i}]: {len(traj)} samples, the curve checks need "
                 "at least 5 (length / step >= 4)"
             )
-        arc = max(1.0, float(traj.s[-1]))
-        add(f"{prefix}-energy", "-", lambda: CheckReport.from_residual(
-            "", "-", len(traj), traj.energy_drift, tol.algebraic * arc,
-            {"length": float(traj.s[-1])},
-        ))
-        idx = interior_indices(traj)
-        conditions = add(f"{prefix}-conditions", "th1",
-                         lambda: check_geodesic_conditions(sc, traj, idx), outside)
-        if nk.passed:
-            add(f"{prefix}-pq-curve", "eq-c4", lambda: CheckReport.from_residual(
-                "", "eq-c4", len(idx), pq_curve_residual(sc, traj, idx), tol.algebraic
-            ))
-        add(f"{prefix}-invariant", "def-clairaut", lambda: clairaut_invariant(sc, traj))
-        add(f"{prefix}-clairaut-condition", "eq-6",
-            lambda: check_clairaut_condition(sc, traj, idx),
-            umbilic + [(not conditions.passed, "curve failed the geodesic gate")])
+        curve = replace(state, done=dict(state.done), traj=traj, indices=interior_indices(traj))
+        label = f"geodesic-{i}-"
+        checks += _run_checks(per_curve, curve, lambda name: name.replace("geodesic-", label, 1))
 
     return ReportDocument(
         scenario=sc.name,
@@ -196,16 +238,8 @@ def run_scenario(
 
 def _cmd_check(args) -> int:
     path = resolve_scenario_path(args.scenario)
-    report = run_scenario(
-        path,
-        seed=args.seed,
-        samples=args.samples,
-        tolerance_scale=args.tolerance_scale,
-    )
-    if args.format == "machine":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_table())
+    report = run_scenario(path, args.seed, args.samples, args.tolerance_scale)
+    sys.stdout.write(report.to_json() if args.format == "machine" else report.to_table())
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_json())
@@ -234,7 +268,7 @@ def _cmd_geodesic(args) -> int:
             raise ScenarioValidationError("--p0 and --v0 must be given together")
         cfg = GeodesicConfig(
             p0=_parse_tuple(args.p0, sc.M.dim, "--p0"),
-            v0=nonzero_velocity(_parse_tuple(args.v0, sc.M.dim, "--v0"), "--v0"),
+            v0=_parse_tuple(args.v0, sc.M.dim, "--v0"),
             length=1.0,
         )
     elif bundle.geodesics:
@@ -245,6 +279,7 @@ def _cmd_geodesic(args) -> int:
         )
     overrides = {"length": args.length, "step": args.step}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    _check_regular_start(sc.M, cfg, "--v0" if args.v0 is not None else "geodesics[0].v0")
 
     exited = None
     try:
@@ -256,22 +291,11 @@ def _cmd_geodesic(args) -> int:
         raise ScenarioValidationError(str(exc)) from None
 
     sin_theta, invariant = invariant_series(sc, traj)
-    m = sc.M.dim
-    header = (
-        ["s"]
-        + [f"x{i}" for i in range(1, m + 1)]
-        + [f"v{i}" for i in range(1, m + 1)]
-        + ["sin_theta", "invariant"]
-    )
-    rows = [",".join(header)]
+    coords = [f"{c}{i}" for c in "xv" for i in range(1, sc.M.dim + 1)]
+    rows = [",".join(["s", *coords, "sin_theta", "invariant"])]
     for k in range(len(traj)):
-        cells = (
-            [repr(float(traj.s[k]))]
-            + [repr(float(x)) for x in traj.points[k]]
-            + [repr(float(v)) for v in traj.velocities[k]]
-            + [repr(float(sin_theta[k])), repr(float(invariant[k]))]
-        )
-        rows.append(",".join(cells))
+        values = [traj.s[k], *traj.points[k], *traj.velocities[k], sin_theta[k], invariant[k]]
+        rows.append(",".join(repr(float(x)) for x in values))
     text = "\n".join(rows) + "\n"
 
     c0 = float(invariant[0])
@@ -335,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioValidationError as exc:

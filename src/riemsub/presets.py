@@ -95,7 +95,7 @@ def map_example_ii_components():
 class Preset(NamedTuple):
     """A named fixture: its kind ("metric", "phi" or "map"), a one-line
     description, the builder of its entries from the source dimension, and
-    the dimension it requires (None: any, or checked by kind)."""
+    the dimension it requires (None: any)."""
 
     kind: str
     description: str
@@ -109,10 +109,10 @@ PRESETS = {
     "conformal-r2": Preset("metric", "exp(2*x1) times the flat metric on R^2",
                            lambda _: conformal_metric_r2(), 2),
     "canonical-phi": Preset("phi", "constant orthogonal complex structure on R^4",
-                            lambda _: canonical_phi()),
+                            lambda _: canonical_phi(), 4),
     "twisted-phi": Preset("phi", "canonical structure conjugated by an x1-rotation "
                           "in (e2,e3); synthetic non-parallel negative fixture",
-                          lambda _: twisted_phi()),
+                          lambda _: twisted_phi(), 4),
     "map-example-i": Preset("map", "((x1 + x2)/sqrt(2), x3, x4) onto R^3",
                             lambda _: map_example_i_components()),
     "map-example-ii": Preset("map", "(sqrt(x1^2 + x2^2), x3, x4) onto R^3",
@@ -123,9 +123,6 @@ PRESETS = {
 def build_preset(kind: str, name: str, dim: int):
     """Entries of the ``kind`` preset ``name`` over a source of dimension
     ``dim``; a ``ValueError`` names what does not fit."""
-    if kind == "phi" and dim != 4:
-        # Every complex-structure preset lives on R^4.
-        raise ValueError(f"phi preset {name!r} requires dim 4")
     preset = PRESETS.get(name)
     if preset is None or preset.kind != kind:
         raise ValueError(f"unknown {kind} preset {name!r}")

@@ -89,14 +89,6 @@ def _as_vector(value, dim: int, path: str) -> tuple:
     return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def nonzero_velocity(v0: tuple, path: str) -> tuple:
-    """``v0`` unchanged; a zero initial velocity has no direction, so the
-    angle the Clairaut checks measure along its curve is undefined."""
-    if not any(v0):
-        _err(path, "must be nonzero")
-    return v0
-
-
 def _parse_expr(text, dim: int, path: str):
     if not isinstance(text, str):
         _err(path, "expected an expression string")
@@ -244,9 +236,7 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
         geodesics.append(
             GeodesicConfig(
                 p0=_as_vector(g_raw["p0"], source.dim, f"{gpath}.p0"),
-                v0=nonzero_velocity(
-                    _as_vector(g_raw["v0"], source.dim, f"{gpath}.v0"), f"{gpath}.v0"
-                ),
+                v0=_as_vector(g_raw["v0"], source.dim, f"{gpath}.v0"),
                 length=_as_number(g_raw["length"], f"{gpath}.length"),
                 step=step,
             )

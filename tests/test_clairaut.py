@@ -13,6 +13,7 @@ from riemsub.clairaut import (
     check_pq_identities,
     check_thm33_identity,
     clairaut_invariant,
+    curve_windows,
     geodesic_condition_residuals,
     interior_indices,
     invariant_series,
@@ -243,7 +244,7 @@ def test_check_geodesic_conditions_report(scenario_ii):
     traj = geodesic_integrate(
         scenario_ii.M, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), 2.0, 1e-3
     )
-    rep = check_geodesic_conditions(scenario_ii, traj)
+    rep = check_geodesic_conditions(scenario_ii, curve_windows(scenario_ii, traj))
     assert rep.passed
 
 
@@ -251,7 +252,7 @@ def test_clairaut_condition_line_geodesic(scenario_ii):
     traj = geodesic_integrate(
         scenario_ii.M, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), 2.0, 1e-3
     )
-    rep = check_clairaut_condition(scenario_ii, traj)
+    rep = check_clairaut_condition(scenario_ii, curve_windows(scenario_ii, traj))
     assert rep.passed
     assert rep.max_residual < 1e-5
 
@@ -260,7 +261,7 @@ def test_clairaut_condition_horizontal_trivial(scenario_ii):
     traj = geodesic_integrate(
         scenario_ii.M, (1.0, 0.0, 0.5, 0.0), (1 / SQ2, 0.0, 1 / SQ2, 0.0), 1.0, 1e-3
     )
-    rep = check_clairaut_condition(scenario_ii, traj)
+    rep = check_clairaut_condition(scenario_ii, curve_windows(scenario_ii, traj))
     assert rep.passed
     assert rep.max_residual < 1e-8
 
@@ -268,7 +269,7 @@ def test_clairaut_condition_horizontal_trivial(scenario_ii):
 def test_clairaut_condition_wrong_exponent():
     sc = build_scenario_ii(f_text="x3")
     traj = geodesic_integrate(sc.M, (1.0, 0.0, 0.2, 0.0), (0.0, 1.0, 0.3, 0.0), 2.0, 1e-3)
-    rep = check_clairaut_condition(sc, traj)
+    rep = check_clairaut_condition(sc, curve_windows(sc, traj))
     assert not rep.passed
     assert rep.max_residual > 1e-3
 
@@ -276,7 +277,7 @@ def test_clairaut_condition_wrong_exponent():
 def test_clairaut_condition_rejects_non_geodesic(scenario_ii):
     traj = circle_trajectory(scenario_ii.M, n=200, step=1e-3)
     with pytest.raises(NonGeodesicError):
-        check_clairaut_condition(scenario_ii, traj)
+        check_clairaut_condition(scenario_ii, curve_windows(scenario_ii, traj))
 
 
 def test_thm33_identity_example_ii(scenario_ii, samples_ii):

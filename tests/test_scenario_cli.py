@@ -8,7 +8,8 @@ import pytest
 import yaml
 
 import riemsub
-from riemsub.cli import main, run_scenario
+from riemsub import clairaut
+from riemsub.cli import CHECKS, main, run_scenario
 from riemsub.scenario import (
     ScenarioValidationError,
     bundled_scenario_names,
@@ -213,6 +214,15 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[0, 0, 0, 0])]),
             "geodesics[0].v0: must be nonzero", id="zero-v0",
         ),
+        # Below the regularity threshold the same rule applies.
+        pytest.param(
+            ["geodesic", "--p0=1,0,0,0", "--v0=1e-13,0,0,0", "--length", "0.01"], MINIMAL,
+            "--v0: must be nonzero", id="geodesic-tiny-v0",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e-13, 0, 0, 0])]),
+            "geodesics[0].v0: must be nonzero", id="tiny-v0",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
@@ -227,6 +237,158 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+_OUTSIDE = "scenario is outside the anti-invariant nearly-parallel setting"
+_IDENTITY_PHI = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+_SMALL_II = {
+    "name": "small-ii",
+    "source": {
+        "dim": 4,
+        "metric": "euclidean-r4",
+        "domain": {
+            "intervals": [[-4.0, 4.0]] * 4,
+            "exclude": [{"expr": "sqrt(x1^2 + x2^2)", "radius": 0.1}],
+        },
+    },
+    "target": {"dim": 3, "metric": "euclidean", "domain": {"intervals": [[-10.0, 10.0]] * 3}},
+    "phi": "canonical-phi",
+    "map": "map-example-ii",
+    "clairaut": {"f": "ln(sqrt(x1^2 + x2^2))"},
+    "sampling": {"count": 5, "seed": 3},
+}
+_LINE = {"p0": [1.0, 0.2, 0.1, -0.2], "v0": [0.1, 0.8, 0.3, 0.2], "length": 0.2}
+
+
+@pytest.mark.parametrize(
+    "doc, expected, omitted",
+    [
+        # phi = I squares to +I: everything resting on the structure skips.
+        pytest.param(
+            _with(MINIMAL, phi=_IDENTITY_PHI, geodesics=[_GEODESIC]),
+            {
+                "structure": ("fail", None),
+                "nearly-kaehler": ("skip", "structure check failed"),
+                "aq-gradient-identity": ("skip", _OUTSIDE),
+                "dichotomies": ("skip", _OUTSIDE),
+                "geodesic-0-conditions": ("skip", _OUTSIDE),
+                "geodesic-0-clairaut-condition": ("skip", _OUTSIDE),
+            },
+            ["geodesic-0-pq-curve"], id="structure-failure",
+        ),
+        # A non-parallel structure: pq-curve is left out, not skipped.
+        pytest.param(
+            _with(MINIMAL, phi="twisted-phi", geodesics=[_GEODESIC]),
+            {
+                "structure": ("pass", None),
+                "nearly-kaehler": ("fail", None),
+                "geodesic-0-conditions": ("skip", _OUTSIDE),
+                "geodesic-0-invariant": ("pass", None),
+            },
+            ["geodesic-0-pq-curve"], id="pq-curve-omitted",
+        ),
+        # The wrong sign of f: the fibers' mean curvature is -grad(ln r).
+        pytest.param(
+            _with(_SMALL_II, clairaut={"f": "-ln(sqrt(x1^2 + x2^2))"}, geodesics=[_LINE]),
+            {
+                "bishop-clairaut": ("fail", None),
+                "aq-gradient-identity": ("skip", "umbilicity criterion failed"),
+                "dichotomies": ("skip", "umbilicity criterion failed"),
+                "geodesic-0-conditions": ("pass", None),
+                "geodesic-0-pq-curve": ("pass", None),
+                "geodesic-0-clairaut-condition": ("skip", "umbilicity criterion failed"),
+            },
+            [], id="umbilicity-failure",
+        ),
+        # A coarse step leaves the five-point stencil far from the curve.
+        pytest.param(
+            _with(_SMALL_II, geodesics=[dict(_LINE, length=2.0, step=0.25)]),
+            {
+                "bishop-clairaut": ("pass", None),
+                "geodesic-0-conditions": ("fail", None),
+                "geodesic-0-clairaut-condition": ("skip", "curve failed the geodesic gate"),
+            },
+            [], id="geodesic-gate",
+        ),
+        # The first curve leaves the box; the second still runs every check.
+        pytest.param(
+            _with(MINIMAL, geodesics=[
+                dict(_GEODESIC, p0=[1.5, 0.0, 0.0, 0.0], v0=[1.0, 0.0, 0.0, 0.0], length=1.0),
+                _GEODESIC,
+            ]),
+            {
+                "geodesic-0-integration": ("fail", None),
+                "geodesic-1-clairaut-condition": ("pass", None),
+            },
+            ["geodesic-0-energy", "geodesic-0-conditions", "geodesic-0-invariant"],
+            id="integration-failure",
+        ),
+    ],
+)
+def test_skip_paths(tmp_path, doc, expected, omitted):
+    report = run_scenario(_write(tmp_path, doc))
+    checks = {c.name: c for c in report.checks}
+    for name, (verdict, reason) in expected.items():
+        assert checks[name].verdict == verdict, name
+        assert checks[name].details.get("reason") == reason, name
+    assert not set(omitted) & set(checks)
+    assert report.overall == "fail"
+    if "geodesic-0-integration" in checks:
+        failed = checks["geodesic-0-integration"]
+        assert failed.ref == "-" and failed.max_residual == float("inf")
+        assert "left the sampling domain" in failed.details["error"]
+
+
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+_WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yaml")
+
+
+@pytest.mark.parametrize(
+    "scenario, builds",
+    # example-ii: 10 windows for each of 5 geodesics, shared by the
+    # geodesic-conditions and clairaut-condition checks.  The warped product
+    # skips both, so it builds none.
+    [("example-ii", 50), (_WARPED_FILE, 0)],
+)
+def test_each_curve_window_is_built_once(monkeypatch, scenario, builds):
+    built = []
+    original = clairaut._curve_window
+
+    def counted(sc, traj, i):
+        built.append((traj.points[0].tobytes(), traj.velocities[0].tobytes(), i))
+        return original(sc, traj, i)
+
+    monkeypatch.setattr(clairaut, "_curve_window", counted)
+    run_scenario(resolve_scenario_path(scenario), samples=3)
+    assert len(built) == builds
+    assert len(set(built)) == builds
+
+
+def test_readme_lists_every_check():
+    with open(os.path.join(_ROOT, "README.md")) as fh:
+        section = fh.read().split("## Checks", 1)[1].split("\n## ", 1)[0]
+    for name, ref, _run, _requires in CHECKS:
+        assert f"| `{name}` | `{ref}` |" in section, name
+
+
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("nope", "phi: unknown phi preset 'nope'"),
+        ("canonical-phi", "phi: canonical-phi requires dim 4"),
+    ],
+)
+def test_phi_preset_name_checked_before_dimension(tmp_path, phi, message):
+    doc = _with(
+        MINIMAL,
+        source={"dim": 3, "metric": "euclidean", "domain": {"intervals": [[-2.0, 2.0]] * 3}},
+        target={"dim": 2, "metric": "euclidean", "domain": {"intervals": [[-10.0, 10.0]] * 2}},
+        phi=phi,
+        map=["x1", "x2"],
+    )
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(_write(tmp_path, doc))
+    assert str(err.value) == message
 
 
 def test_cli_validation_error_message(tmp_path, capsys):
