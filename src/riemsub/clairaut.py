@@ -15,28 +15,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, partials
-from .geometry import (
-    GeodesicTrajectory,
-    ManifoldSpec,
-    christoffel,
-    gradient,
-    metric_norm,
-)
-from .hermitian import AlmostComplexField, apply_phi, nabla_phi
+from .expr import Expr
+from .geometry import GeodesicTrajectory, ManifoldSpec, metric_norm
+from .hermitian import AlmostComplexField, _nabla_phi, apply_phi, nabla_phi
 from .report import CheckReport, Tolerances
-from .submersion import (
+from .state import (
     Frame,
-    SmoothMap,
+    SampleState,
     SubmersionError,
-    _directional_derivative,
     _fix_sign,
+    apply,
+    metric_norms,
+    pairs,
+    sample_state,
+)
+from .submersion import (
+    FD_STEP,
+    SmoothMap,
+    _oneill,
     build_frame,
     fiber_character,
     five_point,
     frame_at,
-    tensor_A,
-    tensor_T,
+    stencil_points,
 )
 
 
@@ -94,6 +95,35 @@ class SplitResult:
     phiker_residual: float
 
 
+def _state(sc: ClairautScenario, samples) -> SampleState:
+    return sample_state(samples, sc.M, sc.F, sc.J, sc.f)
+
+
+def _mu_rows(sc: ClairautScenario, st: SampleState) -> np.ndarray:
+    """Orthonormal bases ``(N, mu_dim, m)`` of the horizontal complement of
+    phi(vertical) at each sample (see :func:`mu_basis`)."""
+    N, m = st.points.shape
+    phiV = apply(st.phi, st.vertical)
+    residuals = st.horizontal
+    for j in range(phiV.shape[1]):
+        pv = phiV[:, j, None]
+        residuals = residuals - st.inner(residuals, pv)[..., None] * pv
+    rows = []
+    every = np.arange(N)
+    for _ in range(sc.mu_dim):
+        norms = st.norm(residuals)
+        best = norms.argmax(axis=1)
+        if (norms[every, best] < 1e-6).any():
+            raise SubmersionError(
+                "could not span the complement of phi(vertical); "
+                "is the submersion anti-invariant?"
+            )
+        u = (residuals[every, best] / norms[every, best, None])[:, None]
+        rows.append(_fix_sign(u[:, 0]))
+        residuals = residuals - st.inner(residuals, u)[..., None] * u
+    return np.stack(rows, axis=1) if rows else np.empty((N, 0, m))
+
+
 def mu_basis(sc: ClairautScenario, fr: Frame) -> np.ndarray:
     """Orthonormal basis of the horizontal complement of phi(vertical).
 
@@ -101,45 +131,18 @@ def mu_basis(sc: ClairautScenario, fr: Frame) -> np.ndarray:
     and keeps the ``mu_dim`` largest-norm survivors (norm-pivoted, so the
     selection is deterministic).
     """
-    g = fr.metric
-    p = fr.point
-    phiV = np.array([apply_phi(sc.J, p, v) for v in fr.vertical])
-    residuals = []
-    for h in fr.horizontal:
-        r = h.astype(float)
-        for pv in phiV:
-            r = r - float(r @ g @ pv) * pv
-        residuals.append(r)
-    rows = []
-    for _ in range(sc.mu_dim):
-        norms = [metric_norm(g, r) for r in residuals]
-        best = int(np.argmax(norms))
-        if norms[best] < 1e-6:
-            raise SubmersionError(
-                "could not span the complement of phi(vertical); "
-                "is the submersion anti-invariant?"
-            )
-        u = residuals[best] / norms[best]
-        rows.append(_fix_sign(u))
-        residuals = [r - float(r @ g @ u) * u for r in residuals]
-    return np.array(rows) if rows else np.empty((0, sc.M.dim))
+    return _mu_rows(sc, SampleState.at_frame(fr, sc.M, sc.F, sc.J))[0]
 
 
 def check_anti_invariant(sc: ClairautScenario, samples) -> CheckReport:
     """Vertical part of the image of each vertical frame vector must vanish."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    residual = 0.0
-    for p in samples:
-        fr = build_frame(sc.F, p)
-        for v in fr.vertical:
-            residual = max(
-                residual, metric_norm(fr.metric, fr.vertical_part(apply_phi(sc.J, p, v)))
-            )
+    st = _state(sc, samples)
+    residual = st.norm(st.vertical_part(apply(st.phi, st.vertical))).max(initial=0.0)
     return CheckReport.from_residual(
         "anti-invariance",
         "def-anti-invariant",
-        len(samples),
-        residual,
+        len(st.points),
+        float(residual),
         sc.tolerances.algebraic,
         {"mu_dim": sc.mu_dim, "lagrangian": sc.mu_dim == 0},
     )
@@ -179,24 +182,16 @@ def pq_tensors(sc: ClairautScenario, U, V, point, frame: Frame | None = None):
 def check_bishop(sc: ClairautScenario, samples) -> CheckReport:
     """Umbilicity with mean curvature equal to minus the exponent gradient:
     residual of ``T_V W + g(V, W) grad f`` over vertical frame pairs."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    residual = 0.0
-    grad_max = 0.0
-    for p in samples:
-        fr = build_frame(sc.F, p)
-        gamma = christoffel(sc.M, p)
-        g = fr.metric
-        gradf = gradient(sc.M, sc.f, p)
-        grad_max = max(grad_max, metric_norm(g, gradf))
-        for j, vj in enumerate(fr.vertical):
-            for k, vk in enumerate(fr.vertical):
-                t = tensor_T(sc.F, vj, vk, p, fr, gamma)
-                gram = float(vj @ g @ vk)
-                residual = max(residual, metric_norm(g, t + gram * gradf))
+    st = _state(sc, samples)
+    e, fv = pairs(st.vertical)
+    t = _oneill(st, "T", e, fv)
+    gradf = st.grad_f
+    residual = float(st.norm(t + st.inner(e, fv)[..., None] * gradf[:, None, None]).max(initial=0.0))
+    grad_max = float(st.norm(gradf).max(initial=0.0))
     return CheckReport.from_residual(
         "bishop-clairaut",
         "th-bis",
-        len(samples),
+        len(st.points),
         residual,
         sc.tolerances.fd,
         {
@@ -215,7 +210,6 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     sin_theta = np.empty(len(traj))
     invariant = np.empty(len(traj))
     for i, (p, v) in enumerate(zip(traj.points, traj.velocities)):
-        # Trajectory points are not revisited, so they bypass the frame memo.
         fr = frame_at(sc.F, p)
         speed = metric_norm(fr.metric, v)
         if speed < MIN_SPEED:
@@ -253,11 +247,12 @@ class _CurveWindow:
     clairaut_residual: float
 
 
-def _curve_window(sc: ClairautScenario, traj: GeodesicTrajectory, i: int) -> _CurveWindow:
-    """Split the five samples ``i-2..i+2`` as ``v = U + X`` (vertical,
-    horizontal) and ``phi X = alpha + beta`` (vertical, in mu), take the
-    covariant derivatives of ``phi U``, ``alpha`` and ``beta`` along the
-    curve with the five-point stencil, and evaluate at sample ``i``:
+def _curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices) -> list:
+    """One window per interior sample ``i`` of ``indices``: split the five
+    samples ``i-2..i+2`` as ``v = U + X`` (vertical, horizontal) and
+    ``phi X = alpha + beta`` (vertical, in mu), take the covariant
+    derivatives of ``phi U``, ``alpha`` and ``beta`` along the curve with
+    the five-point stencil, and evaluate at sample ``i``:
 
     Vertical condition:
         A_X phiU + A_X beta + T_U beta + V nabla_X alpha
@@ -270,48 +265,49 @@ def _curve_window(sc: ClairautScenario, traj: GeodesicTrajectory, i: int) -> _Cu
 
     The non-tensorial derivative groups combine into the covariant
     derivatives along the curve; the remaining terms are tensors evaluated
-    at the sample point.
+    at the sample point.  All windows share one state at their centers and
+    one at the four neighbors of each center.
     """
-    if i < 2 or i > len(traj) - 3:
+    idx = np.asarray(indices, dtype=int)
+    if len(idx) and (idx.min() < 2 or idx.max() > len(traj) - 3):
         raise ValueError("index must leave a margin of two interior samples")
-    states = []
-    for j in range(i - 2, i + 3):
-        p, v = traj.points[j], traj.velocities[j]
-        fr = build_frame(sc.F, p)
-        U = fr.vertical_part(v)
-        X = v - U
-        A = sc.J.matrix_at(p)
-        phiX = A @ X
-        alpha = fr.vertical_part(phiX)
+    around = (np.array([-2, -1, 1, 2])[:, None] + idx).ravel()  # rows (offset, window)
+    center = SampleState(traj.points[idx], sc.M, sc.F, sc.J, sc.f)
+    side = SampleState(traj.points[around], sc.M, sc.F, sc.J)
+
+    def fields(st, v):
         # The three fields differentiated along the curve come first.
-        states.append((A @ U, alpha, phiX - alpha, fr, U, X))
-    p, v = traj.points[i], traj.velocities[i]
-    gamma = christoffel(sc.M, p)
+        U = st.vertical_part(v)
+        X = v - U
+        phiX = apply(st.phi, X)
+        alpha = st.vertical_part(phiX)
+        return apply(st.phi, U), alpha, phiX - alpha, U, X
+
+    v = traj.velocities[idx]
+    phiU, alpha, beta, U, X = fields(center, v)
     d_phiU, d_alpha, d_beta = (
-        five_point([st[k] for st in states[:2] + states[3:]], traj.step)
-        + np.einsum("kij,i,j->k", gamma, v, states[2][k])
-        for k in range(3)
+        five_point(s.reshape((4,) + c.shape), traj.step)
+        + np.einsum("nkij,ni,nj->nk", center.christoffel, v, c)
+        for s, c in zip(fields(side, traj.velocities[around]), (phiU, alpha, beta))
     )
-    phiU, alpha, beta, fr, U, X = states[2]
-    F, g = sc.F, fr.metric
-    a_alpha = tensor_A(F, X, alpha, p, fr, gamma)
-    t_alpha = tensor_T(F, U, alpha, p, fr, gamma)
-    r_vert = (
-        tensor_A(F, X, phiU, p, fr, gamma)
-        + tensor_A(F, X, beta, p, fr, gamma)
-        + tensor_T(F, U, beta, p, fr, gamma)
-        + tensor_T(F, U, phiU, p, fr, gamma)
-        + fr.vertical_part(d_alpha)
-    )
-    r_horiz = fr.horizontal_part(d_phiU + d_beta) + a_alpha + t_alpha
-    lhs = float(gradient(sc.M, sc.f, p) @ g @ X) * float(U @ g @ U)
+    a_phiU, a_beta, a_alpha = _oneill(
+        center, "A", np.stack([X] * 3, axis=1), np.stack([phiU, beta, alpha], axis=1)
+    ).swapaxes(0, 1)
+    t_beta, t_phiU, t_alpha = _oneill(
+        center, "T", np.stack([U] * 3, axis=1), np.stack([beta, phiU, alpha], axis=1)
+    ).swapaxes(0, 1)
+    r_vert = a_phiU + a_beta + t_beta + t_phiU + center.vertical_part(d_alpha)
+    r_horiz = center.horizontal_part(d_phiU + d_beta) + a_alpha + t_alpha
+    lhs = center.inner(center.grad_f, X) * center.inner(U, U)
     rhs = (
-        fr.horizontal_part(d_beta) + a_alpha + t_alpha
-        + fr.horizontal_part(nabla_phi(sc.M, sc.J, v, U, p))
+        center.horizontal_part(d_beta) + a_alpha + t_alpha
+        + center.horizontal_part(_nabla_phi(center, v, U))
     )
-    return _CurveWindow(
-        (metric_norm(g, r_vert), metric_norm(g, r_horiz)), abs(lhs - float(rhs @ g @ phiU))
-    )
+    rates = abs(lhs - center.inner(rhs, phiU))
+    return [
+        _CurveWindow((float(a), float(b)), float(c))
+        for a, b, c in zip(center.norm(r_vert), center.norm(r_horiz), rates)
+    ]
 
 
 def interior_indices(traj: GeodesicTrajectory, count: int = 10):
@@ -327,13 +323,13 @@ def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) 
     sample of ``indices`` (default: :func:`interior_indices`), which the
     two curve checks read."""
     indices = interior_indices(traj) if indices is None else indices
-    return [_curve_window(sc, traj, i) for i in indices]
+    return _curve_windows(sc, traj, indices)
 
 
 def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory, i: int):
     """Residual norms of the vertical and the horizontal geodesic condition
     at interior sample ``i`` (see :func:`curve_windows`)."""
-    return _curve_window(sc, traj, i).residuals
+    return _curve_windows(sc, traj, [i])[0].residuals
 
 
 def check_geodesic_conditions(sc: ClairautScenario, windows) -> CheckReport:
@@ -364,29 +360,26 @@ def check_clairaut_condition(sc: ClairautScenario, windows) -> CheckReport:
     )
 
 
-def _basic_residual(sc: ClairautScenario, p, fr: Frame, k: int) -> float:
-    """Variation of the pushforward of phi(V_k) along the fiber directions.
+def _basic_residual(sc: ClairautScenario, st: SampleState) -> float:
+    """Largest variation, over the samples and the vertical frame vectors
+    ``V_k``, of the pushforward of phi(V_k) along the fiber directions.
 
-    Zero (to stencil accuracy) exactly when phi(V_k) is basic.  The k-th
-    vertical vector at a displaced point is flipped to point along the base
-    one, so a tie in the frame sign rule inside the stencil cannot flip it.
-    Fibers of dimension 2 or more would also need the displaced basis
-    rotated onto the base one.
+    Zero (to stencil accuracy) exactly when each phi(V_k) is basic.  The
+    k-th vertical vector at a displaced point is flipped to point along the
+    base one, so a tie in the frame sign rule inside the stencil cannot
+    flip it.  Fibers of dimension 2 or more would also need the displaced
+    basis rotated onto the base one.
     """
-    F = sc.F
-    base = fr.vertical[k]
-
-    def pushed(q):
-        w = build_frame(F, q).vertical[k]
-        if float(w @ fr.metric @ base) < 0.0:
-            w = -w
-        return F.jacobian_at(q) @ apply_phi(sc.J, q, w)
-
-    gn = F.target.metric_at(F.map_point(p))
+    N, k, m = st.vertical.shape
     residual = 0.0
-    for v in fr.vertical:
-        d = _directional_derivative(pushed, p, v)
-        residual = max(residual, metric_norm(gn, d))
+    for direction in st.vertical.swapaxes(0, 1):
+        disp = SampleState(stencil_points(st.points, direction).reshape(-1, m), sc.M, sc.F, sc.J)
+        w = disp.vertical.reshape(4, N, k, m)
+        along = np.einsum("onki,nij,nkj->onk", w, st.metric, st.vertical)
+        w = np.where(along[..., None] < 0.0, -w, w).reshape(-1, k, m)
+        pushed = apply(disp.jacobian, apply(disp.phi, w)).reshape(4, N, k, -1)
+        d = five_point(pushed, FD_STEP)
+        residual = max(residual, float(metric_norms(st.target_metric, d).max(initial=0.0)))
     return residual
 
 
@@ -399,35 +392,27 @@ def check_thm33_identity(sc: ClairautScenario, samples) -> CheckReport:
     is verified numerically instead of assumed; failures are reported.
     """
     tolerance = sc.tolerances.fd
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    mu_max = 0.0
-    horiz_max = 0.0
-    basic_max = 0.0
-    for p in samples:
-        fr = build_frame(sc.F, p)
-        gamma = christoffel(sc.M, p)
-        g = fr.metric
-        mu = mu_basis(sc, fr)
-        dfv = partials(sc.f, sc.M.dim).eval(p)
-        for k, W in enumerate(fr.vertical):
-            basic_max = max(basic_max, _basic_residual(sc, p, fr, k))
-            phiW = apply_phi(sc.J, p, W)
-
-            def identity_residual(X):
-                phiX = apply_phi(sc.J, p, X)
-                aterm = tensor_A(sc.F, phiW, phiX, p, fr, gamma)
-                qterm = fr.vertical_part(nabla_phi(sc.M, sc.J, W, phiX, p))
-                return metric_norm(g, aterm + qterm - float(dfv @ X) * W)
-
-            for X in mu:
-                mu_max = max(mu_max, identity_residual(X))
-            for X in fr.horizontal:
-                horiz_max = max(horiz_max, identity_residual(X))
+    st = _state(sc, samples)
+    mu = _mu_rows(sc, st)
+    # W runs over the vertical frame, X over the mu-frame, then the
+    # horizontal frame.
+    Xs = np.concatenate([mu, st.horizontal], axis=1)
+    shape = st.vertical.shape[:2] + Xs.shape[1:]
+    W = np.broadcast_to(st.vertical[:, :, None], shape)
+    X = np.broadcast_to(Xs[:, None], shape)
+    phiX = apply(st.phi, X)
+    aterm = _oneill(st, "A", apply(st.phi, W), phiX)
+    qterm = st.vertical_part(_nabla_phi(st, W, phiX))
+    xf = np.einsum("ni,n...i->n...", st.df, X)
+    residual = st.norm(aterm + qterm - xf[..., None] * W)
+    mu_max = float(residual[:, :, : sc.mu_dim].max(initial=0.0))
+    horiz_max = float(residual[:, :, sc.mu_dim:].max(initial=0.0))
+    basic_max = _basic_residual(sc, st)
     basic_ok = basic_max <= tolerance
     report = CheckReport.from_residual(
         "aq-gradient-identity",
         "th2",
-        len(samples),
+        len(st.points),
         mu_max,
         tolerance,
         {
@@ -456,22 +441,15 @@ def check_dichotomies(
     the hypothesis ``grad f in phi(vertical)`` does not hold.
     """
     tolerance = sc.tolerances.fd
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    st = _state(sc, samples)
     if fiber_report is None:
-        fiber_report = fiber_character(sc.F, samples, tolerance=tolerance)
-    f_const_res = 0.0
-    hyp_res = 0.0
-    for p in samples:
-        fr = build_frame(sc.F, p)
-        g = fr.metric
-        gradf = gradient(sc.M, sc.f, p)
-        phiV = np.array([apply_phi(sc.J, p, v) for v in fr.vertical])
-        for pv in phiV:
-            f_const_res = max(f_const_res, abs(float(gradf @ g @ pv)))
-        proj = np.zeros(sc.M.dim)
-        for pv in phiV:
-            proj = proj + float(gradf @ g @ pv) * pv
-        hyp_res = max(hyp_res, metric_norm(g, gradf - proj))
+        fiber_report = fiber_character(sc.F, st, tolerance=tolerance)
+    gradf = st.grad_f
+    phiV = apply(st.phi, st.vertical)
+    along = st.inner(gradf[:, None], phiV)  # g(grad f, phi V_k)
+    f_const_res = float(abs(along).max(initial=0.0))
+    proj = (along[..., None] * phiV).sum(axis=1)
+    hyp_res = float(st.norm(gradf - proj).max(initial=0.0))
     one_dimensional = sc.fiber_dim == 1
     geo_res = float(fiber_report.details["geodesic_residual"])
     branch_fibers = 0.0 if one_dimensional else geo_res
@@ -490,7 +468,7 @@ def check_dichotomies(
             0.0 if one_dimensional else geo_res, geo_res
         )
     report = CheckReport.from_residual(
-        "dichotomies", "th3", len(samples), residual, tolerance, details
+        "dichotomies", "th3", len(st.points), residual, tolerance, details
     )
     if not hypothesis_ok:
         report.verdict = "skip"
@@ -513,34 +491,26 @@ def check_pq_identities(
     symmetrized-derivative condition, so its inclusion in the gate is
     caller-controlled; its residual is always reported.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    st = _state(sc, samples)
     rng = rng if rng is not None else np.random.default_rng(0)
-    c2_max = 0.0
-    c3_max = 0.0
-    c5_max = 0.0
-    for p in samples:
-        fr = build_frame(sc.F, p)
-        g = fr.metric
-        A = sc.J.matrix_at(p)
-        for _ in range(3):
-            u, v, z = (w / metric_norm(g, w) for w in rng.standard_normal((3, sc.M.dim)))
-            sym = nabla_phi(sc.M, sc.J, u, v, p) + nabla_phi(sc.M, sc.J, v, u, p)
-            c2_max = max(
-                c2_max,
-                metric_norm(g, fr.horizontal_part(sym)),
-                metric_norm(g, fr.vertical_part(sym)),
-            )
-            c3 = A @ nabla_phi(sc.M, sc.J, v, u, p) + nabla_phi(sc.M, sc.J, v, A @ u, p)
-            c3_max = max(c3_max, metric_norm(g, c3))
-            duality = float(nabla_phi(sc.M, sc.J, u, v, p) @ g @ z) + float(
-                v @ g @ nabla_phi(sc.M, sc.J, u, z, p)
-            )
-            c5_max = max(c5_max, abs(duality))
+    # Per sample, three triples (u, v, z) of g-unit vectors.
+    u, v, z = np.moveaxis(st.unit_probes(rng, (3, 3)), 2, 0)
+    nab_uv = _nabla_phi(st, u, v)
+    nab_vu = _nabla_phi(st, v, u)
+    sym = nab_uv + nab_vu
+    c2_max = float(max(
+        st.norm(st.horizontal_part(sym)).max(initial=0.0),
+        st.norm(st.vertical_part(sym)).max(initial=0.0),
+    ))
+    c3 = apply(st.phi, nab_vu) + _nabla_phi(st, v, apply(st.phi, u))
+    c3_max = float(st.norm(c3).max(initial=0.0))
+    duality = st.inner(nab_uv, z) + st.inner(v, _nabla_phi(st, u, z))
+    c5_max = float(abs(duality).max(initial=0.0))
     residual = max(c3_max, c5_max, c2_max if include_antisymmetry else 0.0)
     return CheckReport.from_residual(
         "pq-identities",
         "eq-c2/c3/c5",
-        len(samples),
+        len(st.points),
         residual,
         sc.tolerances.algebraic,
         {
@@ -554,14 +524,8 @@ def check_pq_identities(
 
 def pq_curve_residual(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None):
     """Max of ``|phi(P_h phi(h') + Q_h phi(h'))|`` at trajectory samples."""
-    indices = range(len(traj)) if indices is None else indices
-    residual = 0.0
-    for i in indices:
-        p = traj.points[i]
-        v = traj.velocities[i]
-        g = sc.M.metric_at(p)
-        A = sc.J.matrix_at(p)
-        residual = max(
-            residual, metric_norm(g, A @ nabla_phi(sc.M, sc.J, v, A @ v, p))
-        )
-    return residual
+    idx = np.arange(len(traj)) if indices is None else np.asarray(indices, dtype=int)
+    st = SampleState(traj.points[idx], sc.M, J=sc.J)
+    v = traj.velocities[idx]
+    pq = apply(st.phi, _nabla_phi(st, v, apply(st.phi, v)))
+    return float(st.norm(pq).max(initial=0.0))

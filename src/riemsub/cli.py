@@ -59,6 +59,7 @@ from .scenario import (
     load_scenario,
     resolve_scenario_path,
 )
+from .state import SampleState
 from .submersion import (
     SubmersionError,
     check_decompositions,
@@ -82,14 +83,15 @@ _UMBILIC = _IN_SETTING + (("bishop-clairaut", "umbilicity criterion failed"),)
 @dataclass
 class _Run:
     """What a table entry's ``run`` reads: the scenario, its tolerances,
-    probe generators and sample points, the reports so far by table name
-    and, for ``geodesic-`` entries, one trajectory and its interior indices,
-    whose curve windows are built on first use and then shared."""
+    probe generators and the state at the sample points (built once, shared
+    by every entry), the reports so far by table name and, for ``geodesic-``
+    entries, one trajectory and its interior indices, whose curve windows
+    are built on first use and then shared."""
 
     sc: ClairautScenario
     tol: Tolerances
     rngs: list
-    pts: np.ndarray
+    state: SampleState
     done: dict
     traj: GeodesicTrajectory | None = None
     indices: list | None = None
@@ -100,14 +102,14 @@ class _Run:
 
 
 def _nearly_kaehler(s: _Run) -> CheckReport:
-    report = check_nearly_kaehler(s.sc.M, s.sc.J, s.pts, tolerance=s.tol.algebraic, rng=s.rngs[2])
+    report = check_nearly_kaehler(s.sc.M, s.sc.J, s.state, tolerance=s.tol.algebraic, rng=s.rngs[2])
     # Per-sample series are diagnostics, too bulky for the report.
     del report.details["per_sample"], report.details["kaehler_per_sample"]
     return report
 
 
 def _fiber_character(s: _Run) -> CheckReport:
-    report = fiber_character(s.sc.F, s.pts, tolerance=s.tol.fd)
+    report = fiber_character(s.sc.F, s.state, tolerance=s.tol.fd)
     # Mean curvature vectors are per-sample diagnostics; keep the report flat.
     report.details["mean_curvature_first_sample"] = report.details.pop("mean_curvature")[0]
     return report
@@ -123,24 +125,24 @@ def _fiber_character(s: _Run) -> CheckReport:
 # rebinding of that module-level name (a tracer's, say) reaches the call.
 CHECKS = (
     ("structure", "eq-ka1", lambda s: check_structure(
-        s.sc.M, s.sc.J, s.pts, tolerance=s.tol.algebraic, rng=s.rngs[1]), ()),
+        s.sc.M, s.sc.J, s.state, tolerance=s.tol.algebraic, rng=s.rngs[1]), ()),
     ("nearly-kaehler", "eq-ka2", _nearly_kaehler, (("structure", "structure check failed"),)),
     ("submersion-axioms", "def-submersion",
-     lambda s: check_submersion(s.sc.F, s.pts, tolerance=s.tol.algebraic), ()),
+     lambda s: check_submersion(s.sc.F, s.state, tolerance=s.tol.algebraic), ()),
     ("oneill-skew", "EQ2.14",
-     lambda s: check_skew(s.sc.F, s.pts, tolerance=s.tol.algebraic, rng=s.rngs[3]), ()),
+     lambda s: check_skew(s.sc.F, s.state, tolerance=s.tol.algebraic, rng=s.rngs[3]), ()),
     ("oneill-decomposition", "EQ2.10-2.13",
-     lambda s: check_decompositions(s.sc.F, s.pts, tolerance=s.tol.algebraic), ()),
+     lambda s: check_decompositions(s.sc.F, s.state, tolerance=s.tol.algebraic), ()),
     ("map-second-fundamental-form", "EQ2.15",
-     lambda s: check_sff_vertical(s.sc.F, s.pts, tolerance=s.tol.fd), ()),
-    ("anti-invariance", "def-anti-invariant", lambda s: check_anti_invariant(s.sc, s.pts), ()),
+     lambda s: check_sff_vertical(s.sc.F, s.state, tolerance=s.tol.fd), ()),
+    ("anti-invariance", "def-anti-invariant", lambda s: check_anti_invariant(s.sc, s.state), ()),
     ("fiber-character", "eq-7", _fiber_character, ()),
-    ("bishop-clairaut", "th-bis", lambda s: check_bishop(s.sc, s.pts), ()),
+    ("bishop-clairaut", "th-bis", lambda s: check_bishop(s.sc, s.state), ()),
     ("pq-identities", "eq-c2/c3/c5", lambda s: check_pq_identities(
-        s.sc, s.pts, rng=s.rngs[4], include_antisymmetry=s.done["nearly-kaehler"].passed), ()),
-    ("aq-gradient-identity", "th2", lambda s: check_thm33_identity(s.sc, s.pts), _UMBILIC),
+        s.sc, s.state, rng=s.rngs[4], include_antisymmetry=s.done["nearly-kaehler"].passed), ()),
+    ("aq-gradient-identity", "th2", lambda s: check_thm33_identity(s.sc, s.state), _UMBILIC),
     ("dichotomies", "th3", lambda s: check_dichotomies(
-        s.sc, s.pts, fiber_report=s.done["fiber-character"]), _UMBILIC),
+        s.sc, s.state, fiber_report=s.done["fiber-character"]), _UMBILIC),
     ("geodesic-energy", "-", lambda s: CheckReport.from_residual(
         "", "-", len(s.traj), s.traj.energy_drift, s.tol.algebraic * max(1.0, float(s.traj.s[-1])),
         {"length": float(s.traj.s[-1])}), ()),
@@ -190,6 +192,8 @@ def run_scenario(
     when every check that was not skipped passes."""
     bundle = load_scenario(path)
     sc = bundle.scenario
+    if seed is not None and seed < 0:
+        raise ScenarioValidationError("--seed: must be nonnegative")
     if samples is not None and samples < 1:
         raise ScenarioValidationError("--samples must be positive")
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
@@ -205,8 +209,8 @@ def run_scenario(
     sc.M.validate(pts)
     sc.N.validate([sc.F.map_point(p) for p in pts[:25]])
 
-    state = _Run(sc, tol, rngs, pts, {})
-    checks = _run_checks([e for e in CHECKS if not e[0].startswith("geodesic-")], state)
+    run = _Run(sc, tol, rngs, SampleState(pts, sc.M, sc.F, sc.J, sc.f), {})
+    checks = _run_checks([e for e in CHECKS if not e[0].startswith("geodesic-")], run)
     per_curve = [e for e in CHECKS if e[0].startswith("geodesic-")]
     for i, cfg in enumerate(bundle.geodesics):
         try:
@@ -222,7 +226,7 @@ def run_scenario(
                 f"geodesics[{i}]: {len(traj)} samples, the curve checks need "
                 "at least 5 (length / step >= 4)"
             )
-        curve = replace(state, done=dict(state.done), traj=traj, indices=interior_indices(traj))
+        curve = replace(run, done=dict(run.done), traj=traj, indices=interior_indices(traj))
         label = f"geodesic-{i}-"
         checks += _run_checks(per_curve, curve, lambda name: name.replace("geodesic-", label, 1))
 

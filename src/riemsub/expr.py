@@ -356,7 +356,9 @@ class ExprArray:
     """Nested array of expressions evaluated by one compiled function.
 
     ``eval`` returns a float array of the nesting's shape, equal bit for bit
-    to evaluating each entry with ``Expr.eval``.  The function is generated
+    to evaluating each entry with ``Expr.eval``; at a stack of points, an
+    array ``(N, m)``, it returns the values at each point stacked along a
+    leading axis of length ``N``.  The function is generated
     at the first evaluation: straight-line Python that computes each
     structurally distinct subexpression once, with the same float operation
     per node.  If it raises, the entries are evaluated again by the per-node
@@ -378,15 +380,25 @@ class ExprArray:
             self._const = const
 
     def eval(self, point) -> np.ndarray:
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            shape = (len(point),) + self.shape
+            if self._const is not None:
+                out = np.empty(shape)
+                out[...] = self._const
+                return out
+            return np.array([self._values(p) for p in point]).reshape(shape)
         if self._const is not None:
             return self._const
+        return np.array(self._values(point)).reshape(self.shape)
+
+    def _values(self, point):
+        """Entry values at one point; the per-node walk raises the error."""
         if self._fn is None:
             self._fn = _compile(self.entries)
         try:
-            values = self._fn(point)
+            return self._fn(point)
         except (ArithmeticError, ValueError):
-            values = [e.eval(point) for e in self.entries]
-        return np.array(values).reshape(self.shape)
+            return [e.eval(point) for e in self.entries]
 
 
 def _flatten(nested, entries: list) -> tuple:

@@ -145,10 +145,12 @@ class ManifoldSpec:
 
 
 def _check_invertible(g: np.ndarray, point) -> None:
-    scale = max(abs(np.diag(g)).max(), 1e-300)
-    smin = np.linalg.svd(g, compute_uv=False).min()
-    if smin <= RANK_RTOL * scale:
-        raise SingularMetricError(point)
+    """Raise for the first of the metrics ``g`` (one, or a stack at the
+    points ``point``) that is numerically singular."""
+    scale = np.maximum(abs(np.diagonal(g, axis1=-2, axis2=-1)).max(-1), 1e-300)
+    singular = np.linalg.svd(g, compute_uv=False).min(-1) <= RANK_RTOL * scale
+    if singular.any():
+        raise SingularMetricError(np.reshape(point, (-1, g.shape[-1]))[np.argmax(singular)])
 
 
 class VectorField:
@@ -202,20 +204,21 @@ def metric_norm(g: np.ndarray, v: np.ndarray) -> float:
 
 
 def christoffel(M: ManifoldSpec, point) -> np.ndarray:
-    """Connection coefficients ``G[k, i, j]`` of the Levi-Civita connection."""
+    """Connection coefficients ``G[k, i, j]`` of the Levi-Civita connection,
+    at one point or, for a stack of points ``(N, m)``, stacked ``(N, m, m, m)``."""
     p = np.asarray(point, dtype=float)
     if M.is_flat_constant:
         if not M._invertible:
             _check_invertible(M.metric_at(p), p)
             M._invertible = True
-        return np.zeros((M.dim, M.dim, M.dim))
+        return np.zeros(p.shape[:-1] + (M.dim, M.dim, M.dim))
     g = M.metric_at(p)
     _check_invertible(g, p)
     ginv = np.linalg.inv(g)
     D = M.metric_derivs_at(p)  # D[l, i, j] = d_l g_ij
     # B[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    B = D + D.transpose(1, 0, 2) - D.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, B)
+    B = D + D.swapaxes(-3, -2) - D.swapaxes(-3, -2).swapaxes(-2, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
 
 
 def _pairing_value_and_grad(M: ManifoldSpec, X: VectorField, Y: VectorField, p):
@@ -275,9 +278,10 @@ def covariant_derivative(M: ManifoldSpec, X, Y: VectorField, point) -> np.ndarra
 
 
 def gradient(M: ManifoldSpec, f: Expr, point) -> np.ndarray:
-    """Metric gradient: components ``g^{kj} d_j f`` at ``point``."""
+    """Metric gradient: components ``g^{kj} d_j f`` at ``point``, or at each
+    of a stack of points ``(N, m)``."""
     p = np.asarray(point, dtype=float)
-    return M.inverse_metric_at(p) @ partials(f, M.dim).eval(p)
+    return (M.inverse_metric_at(p) @ partials(f, M.dim).eval(p)[..., None])[..., 0]
 
 
 @dataclass

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import ExprArray
-from .geometry import ManifoldSpec, _field_value, christoffel, metric_norm
+from .geometry import ManifoldSpec, _field_value
 from .report import CheckReport, Tolerances
+from .state import SampleState, apply, sample_state
 
 # Random unit vectors per sample in ``check_structure`` and random vector
 # pairs per sample in ``check_nearly_kaehler``.
@@ -52,33 +53,29 @@ def apply_phi(J: AlmostComplexField, point, v) -> np.ndarray:
     return J.matrix_at(point) @ np.asarray(v, dtype=float)
 
 
+def _nabla_phi(st: SampleState, x, y) -> np.ndarray:
+    """``(nabla_x phi) y`` at every sample and probe, ``x`` and ``y`` ``(N, ..., m)``.
+
+    The field-derivative contributions cancel in the difference, leaving
+    the coordinate derivative of phi plus connection corrections.
+    """
+    out = np.einsum("nlij,n...l,n...j->n...i", st.phi_derivs, x, y)
+    if not st.M.is_flat_constant:
+        gamma = st.christoffel
+        out = out + np.einsum("nkij,n...i,n...j->n...k", gamma, x, apply(st.phi, y))
+        out = out - apply(st.phi, np.einsum("nkij,n...i,n...j->n...k", gamma, x, y))
+    return out
+
+
 def nabla_phi(M: ManifoldSpec, J: AlmostComplexField, X, Y, point) -> np.ndarray:
     """Value of ``(nabla_X phi) Y = nabla_X(phi Y) - phi(nabla_X Y)``.
 
     Tensorial in both arguments, so each may be a field or a plain tangent
-    vector.  The field-derivative contributions cancel in the difference,
-    leaving the coordinate derivative of phi plus connection corrections.
+    vector.  The one-point case of :func:`_nabla_phi`.
     """
     p = np.asarray(point, dtype=float)
-    A = J.matrix_at(p)
-    xv = _field_value(X, p)
-    yv = _field_value(Y, p)
-    dphi = J.derivs_at(p)
-    out = np.einsum("lij,l,j->i", dphi, xv, yv)
-    if not M.is_flat_constant:
-        gamma = christoffel(M, p)
-        out = out + np.einsum("kij,i,j->k", gamma, xv, A @ yv)
-        out = out - A @ np.einsum("kij,i,j->k", gamma, xv, yv)
-    return out
-
-
-def _unit_vectors(g: np.ndarray, rng: np.random.Generator, count: int):
-    vecs = []
-    for _ in range(count):
-        v = rng.standard_normal(len(g))
-        n = metric_norm(g, v)
-        vecs.append(v / n)
-    return vecs
+    st = SampleState(p[None], M, J=J)
+    return _nabla_phi(st, _field_value(X, p)[None], _field_value(Y, p)[None])[0]
 
 
 def check_structure(
@@ -88,28 +85,25 @@ def check_structure(
     tolerance: float = Tolerances.algebraic,
     rng=None,
 ) -> CheckReport:
-    """Residuals of ``phi^2 = -I`` and ``g(phi X, phi Y) = g(X, Y)``."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if len(samples) == 0:
+    """Residuals of ``phi^2 = -I`` and ``g(phi X, phi Y) = g(X, Y)``.
+
+    ``samples`` is an array of points or their :class:`SampleState`, as for
+    the check below."""
+    st = sample_state(samples, M, J=J)
+    if len(st.points) == 0:
         raise ValueError("samples must be nonempty")
     rng = rng if rng is not None else np.random.default_rng(0)
-    sq_max = 0.0
-    compat_max = 0.0
-    for p in samples:
-        g = M.metric_at(p)
-        A = J.matrix_at(p)
-        vs = _unit_vectors(g, rng, STRUCTURE_VECTORS)
-        for v in vs:
-            sq_max = max(sq_max, metric_norm(g, A @ (A @ v) + v))
-        for v, w in zip(vs, vs[1:] + vs[:1]):
-            compat_max = max(
-                compat_max, abs(float((A @ v) @ g @ (A @ w)) - float(v @ g @ w))
-            )
+    vs = st.unit_probes(rng, (STRUCTURE_VECTORS,))
+    ws = np.roll(vs, -1, axis=1)  # each vector paired with the next, cyclically
+    A = st.phi
+    sq_max = float(st.norm(apply(A, apply(A, vs)) + vs).max())
+    compat = st.inner(apply(A, vs), apply(A, ws)) - st.inner(vs, ws)
+    compat_max = float(abs(compat).max())
     residual = max(sq_max, compat_max)
     return CheckReport.from_residual(
         "structure",
         "eq-ka1",
-        len(samples),
+        len(st.points),
         residual,
         tolerance,
         {"square_residual": sq_max, "compatibility_residual": compat_max},
@@ -130,30 +124,22 @@ def check_nearly_kaehler(
     (the stronger parallel condition, reported in the details together with
     per-sample maxima).
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if len(samples) == 0:
+    st = sample_state(samples, M, J=J)
+    if len(st.points) == 0:
         raise ValueError("samples must be nonempty")
     rng = rng if rng is not None else np.random.default_rng(0)
-    nk_per_sample = []
-    ka_per_sample = []
-    for p in samples:
-        g = M.metric_at(p)
-        nk_max = 0.0
-        ka_max = 0.0
-        for _ in range(NEARLY_KAEHLER_PAIRS):
-            xv, yv = _unit_vectors(g, rng, 2)
-            dxy = nabla_phi(M, J, xv, yv, p)
-            dyx = nabla_phi(M, J, yv, xv, p)
-            nk_max = max(nk_max, metric_norm(g, dxy + dyx))
-            ka_max = max(ka_max, metric_norm(g, dxy))
-        nk_per_sample.append(nk_max)
-        ka_per_sample.append(ka_max)
+    probes = st.unit_probes(rng, (NEARLY_KAEHLER_PAIRS, 2))
+    xv, yv = probes[:, :, 0], probes[:, :, 1]
+    dxy = _nabla_phi(st, xv, yv)
+    dyx = _nabla_phi(st, yv, xv)
+    nk_per_sample = st.norm(dxy + dyx).max(axis=1).tolist()
+    ka_per_sample = st.norm(dxy).max(axis=1).tolist()
     nk_residual = max(nk_per_sample)
     ka_residual = max(ka_per_sample)
     return CheckReport.from_residual(
         "nearly-kaehler",
         "eq-ka2",
-        len(samples),
+        len(st.points),
         nk_residual,
         tolerance,
         {

@@ -212,6 +212,8 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
         )
         if sampling.count < 1:
             _err("sampling.count", "must be positive")
+        if sampling.seed < 0:
+            _err("sampling.seed", "must be nonnegative")
 
     tolerances = Tolerances()
     if "tolerances" in raw:

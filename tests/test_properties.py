@@ -3,6 +3,9 @@ analytic fundamental tensors.
 
 The per-node ``Expr.eval`` walk is the reference for :class:`ExprArray`,
 which must reproduce its values bit for bit and its errors word for word.
+The one-point helpers (``frame_at``, ``tensor_T``, ``tensor_A``,
+``nabla_phi``) are the reference for the stacked per-sample state, row by
+row.
 Central differences (``fd_derivative``) are the reference for the exact
 derivatives of ``differentiate``.  Every frame must be g-orthonormal with
 complementary projectors.  The finite-difference oracle of
@@ -27,10 +30,17 @@ from riemsub.expr import (
     fd_derivative,
     parse,
 )
+from riemsub.cli import run_scenario
 from riemsub.geometry import VectorField, christoffel
+from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
+from riemsub.presets import canonical_phi
+from riemsub.scenario import resolve_scenario_path
+from riemsub.state import SampleState
 from riemsub.submersion import (
     _covariant_projected,
+    _oneill,
     build_frame,
+    frame_at,
     tensor_A,
     tensor_T,
 )
@@ -314,3 +324,79 @@ def test_frame_splits_at_ties(a, s1, s2, x3):
 def test_frame_splits_warped(x1, x2, x3, x4):
     for F in _WARPED_MAPS:
         _assert_frame_splits(F, np.array([x1, x2, x3, x4]))
+
+
+# ---------------------------------------------------------------------------
+# The stacked per-sample state against the one-point helpers, row by row
+# ---------------------------------------------------------------------------
+
+_PHI = AlmostComplexField(canonical_phi())
+
+
+def _assert_state_matches_points(F, points, seed):
+    points = np.array(points, dtype=float)
+    st = SampleState(points, F.source, F, _PHI)
+    rng = np.random.default_rng(seed)
+    e, f = rng.standard_normal((2, len(points), F.source.dim))
+    stacked = {
+        "T": _oneill(st, "T", e, f),
+        "A": _oneill(st, "A", e, f),
+        "nabla_phi": _nabla_phi(st, e, f),
+    }
+    for i, p in enumerate(points):
+        fr = frame_at(F, p)
+        assert st.vertical[i].tobytes() == fr.vertical.tobytes(), p
+        assert abs(st.horizontal[i] - fr.horizontal).max() <= 1e-15, p
+        assert abs(st.metric[i] - fr.metric).max() <= 1e-15, p
+        one = {
+            "T": tensor_T(F, e[i], f[i], p),
+            "A": tensor_A(F, e[i], f[i], p),
+            "nabla_phi": nabla_phi(F.source, _PHI, e[i], f[i], p),
+        }
+        for name, value in one.items():
+            scale = max(1.0, abs(value).max())
+            assert abs(stacked[name][i] - value).max() <= 1e-14 * scale, (name, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.3, 3.0), st.floats(0.0, 2.0 * np.pi), st.floats(-3.0, 3.0),
+                  st.floats(-3.0, 3.0)),
+        min_size=1, max_size=6,
+    ),
+    _seeds,
+)
+def test_state_matches_one_point_example_ii(polar, seed):
+    points = [(r * np.cos(a), r * np.sin(a), x3, x4) for r, a, x3, x4 in polar]
+    _assert_state_matches_points(_RADIUS_MAP, points, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.3, 2.5), _signs, _signs, st.floats(-3.0, 3.0)),
+                min_size=1, max_size=6), _seeds)
+def test_state_matches_one_point_at_ties(ties, seed):
+    points = [(s1 * a, s2 * a, x3, 0.2) for a, s1, s2, x3 in ties]
+    _assert_state_matches_points(_RADIUS_MAP, points, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(_box, _box, _box, _box), min_size=1, max_size=6), _seeds)
+def test_state_matches_one_point_warped(points, seed):
+    for F in _WARPED_MAPS:
+        _assert_state_matches_points(F, points, seed)
+
+
+def _verdicts(report):
+    return [(c.name, c.verdict) for c in report.checks]
+
+
+def test_one_or_two_samples_give_the_default_verdicts():
+    # A sample axis of length 1 or 2 must not be squeezed away.
+    path = resolve_scenario_path("example-ii")
+    expected = _verdicts(run_scenario(path))
+    assert all(verdict == "pass" for _, verdict in expected)
+    for count in (1, 2):
+        report = run_scenario(path, samples=count)
+        assert report.sample_count == count
+        assert _verdicts(report) == expected

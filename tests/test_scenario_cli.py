@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import riemsub
-from riemsub import clairaut
+from riemsub import clairaut, cli, state
 from riemsub.cli import CHECKS, main, run_scenario
 from riemsub.scenario import (
     ScenarioValidationError,
@@ -223,6 +223,15 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e-13, 0, 0, 0])]),
             "geodesics[0].v0: must be nonzero", id="tiny-v0",
         ),
+        # numpy's seed sequence takes nonnegative integers only.
+        pytest.param(
+            ["check", "--seed", "-1"], MINIMAL,
+            "--seed: must be nonnegative", id="negative-seed",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, sampling={"count": 10, "seed": -3}),
+            "sampling.seed: must be nonnegative", id="negative-sampling-seed",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
@@ -352,16 +361,43 @@ _WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yam
 )
 def test_each_curve_window_is_built_once(monkeypatch, scenario, builds):
     built = []
-    original = clairaut._curve_window
+    original = clairaut._curve_windows
 
-    def counted(sc, traj, i):
-        built.append((traj.points[0].tobytes(), traj.velocities[0].tobytes(), i))
-        return original(sc, traj, i)
+    def counted(sc, traj, indices):
+        built.extend((traj.points[0].tobytes(), traj.velocities[0].tobytes(), i) for i in indices)
+        return original(sc, traj, indices)
 
-    monkeypatch.setattr(clairaut, "_curve_window", counted)
+    monkeypatch.setattr(clairaut, "_curve_windows", counted)
     run_scenario(resolve_scenario_path(scenario), samples=3)
     assert len(built) == builds
     assert len(set(built)) == builds
+
+
+def test_each_sample_frame_is_built_once(monkeypatch):
+    # example-ii, 200 samples: 200 base frames, 1,600 displaced frames for
+    # the decomposition stencils (two directions, four offsets), 800 for the
+    # basicness stencil, 250 for the 50 curve windows (five samples each)
+    # and 10,005 for the invariant series of the five 2001-sample geodesics.
+    built, drawn = [], []
+    original_bases, original_points = state.vertical_bases, cli.sample_points
+
+    def counted_bases(F, points, metric, jacobian):
+        built.append(np.array(points))
+        return original_bases(F, points, metric, jacobian)
+
+    def recorded_points(*args):
+        drawn.append(original_points(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(state, "vertical_bases", counted_bases)
+    monkeypatch.setattr(cli, "sample_points", recorded_points)
+    run_scenario(resolve_scenario_path("example-ii"))
+    points = np.concatenate(built)
+    assert len(points) == 12855
+    (samples,) = drawn
+    assert len(samples) == 200
+    for p in samples:
+        assert (points == p).all(axis=1).sum() == 1
 
 
 def test_readme_lists_every_check():
