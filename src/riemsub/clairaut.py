@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr
+from .expr import Expr, ExprArray
 from .geometry import GeodesicTrajectory, ManifoldSpec, metric_norm
 from .hermitian import AlmostComplexField, _nabla_phi, apply_phi, nabla_phi
 from .report import CheckReport, Tolerances
@@ -36,7 +36,6 @@ from .submersion import (
     build_frame,
     fiber_character,
     five_point,
-    frame_at,
     stencil_points,
 )
 
@@ -205,28 +204,30 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     """Per-sample ``sin(theta)`` and the conserved quantity ``e^f sin(theta)``.
 
     ``theta`` is the angle between the velocity and the horizontal space,
-    computed from the splitting: ``sin(theta) = |vertical part| / |velocity|``.
+    computed from the splitting: ``sin(theta) = |vertical part| / |velocity|``,
+    at all samples from one state.
     """
-    sin_theta = np.empty(len(traj))
-    invariant = np.empty(len(traj))
-    for i, (p, v) in enumerate(zip(traj.points, traj.velocities)):
-        fr = frame_at(sc.F, p)
-        speed = metric_norm(fr.metric, v)
-        if speed < MIN_SPEED:
-            raise ValueError("curve is not regular: zero velocity sample")
-        sin_theta[i] = metric_norm(fr.metric, fr.vertical_part(v)) / speed
-        invariant[i] = np.exp(sc.f.eval(p)) * sin_theta[i]
-    return sin_theta, invariant
+    st = SampleState(traj.points, sc.M, sc.F)
+    speed = st.norm(traj.velocities)
+    if (speed < MIN_SPEED).any():
+        raise ValueError("curve is not regular: zero velocity sample")
+    sin_theta = st.norm(st.vertical_part(traj.velocities)) / speed
+    return sin_theta, np.exp(ExprArray(sc.f).eval(st.points)) * sin_theta
+
+
+def invariant_drift(invariant):
+    """Initial value, largest absolute drift and drift relative to the
+    initial value (floored at 1e-9) of an invariant series."""
+    c0 = float(invariant[0])
+    drift_abs = float(abs(invariant - c0).max())
+    return c0, drift_abs, drift_abs / max(abs(c0), 1e-9)
 
 
 def clairaut_invariant(sc: ClairautScenario, traj: GeodesicTrajectory) -> CheckReport:
     """Relative drift of ``e^f sin(theta)`` along the trajectory; the drift
     tolerance is per unit length, for arcs longer than one."""
     arc = float(traj.s[-1] - traj.s[0]) if len(traj) > 1 else 0.0
-    _, invariant = invariant_series(sc, traj)
-    c0 = float(invariant[0])
-    drift_abs = float(abs(invariant - c0).max())
-    drift_rel = drift_abs / max(abs(c0), 1e-9)
+    c0, drift_abs, drift_rel = invariant_drift(invariant_series(sc, traj)[1])
     return CheckReport.from_residual(
         "clairaut-invariant",
         "def-clairaut",
@@ -247,8 +248,9 @@ class _CurveWindow:
     clairaut_residual: float
 
 
-def _curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices) -> list:
-    """One window per interior sample ``i`` of ``indices``: split the five
+def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) -> list:
+    """One window per interior sample ``i`` of ``indices`` (default:
+    :func:`interior_indices`), which the two curve checks read: split the five
     samples ``i-2..i+2`` as ``v = U + X`` (vertical, horizontal) and
     ``phi X = alpha + beta`` (vertical, in mu), take the covariant
     derivatives of ``phi U``, ``alpha`` and ``beta`` along the curve with
@@ -268,7 +270,7 @@ def _curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices) -> l
     at the sample point.  All windows share one state at their centers and
     one at the four neighbors of each center.
     """
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(interior_indices(traj) if indices is None else indices, dtype=int)
     if len(idx) and (idx.min() < 2 or idx.max() > len(traj) - 3):
         raise ValueError("index must leave a margin of two interior samples")
     around = (np.array([-2, -1, 1, 2])[:, None] + idx).ravel()  # rows (offset, window)
@@ -318,18 +320,10 @@ def interior_indices(traj: GeodesicTrajectory, count: int = 10):
     return sorted(set(np.linspace(lo, hi, min(count, hi - lo + 1)).astype(int)))
 
 
-def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) -> list:
-    """The geodesic-condition and Clairaut-rate residuals at each interior
-    sample of ``indices`` (default: :func:`interior_indices`), which the
-    two curve checks read."""
-    indices = interior_indices(traj) if indices is None else indices
-    return _curve_windows(sc, traj, indices)
-
-
 def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory, i: int):
     """Residual norms of the vertical and the horizontal geodesic condition
     at interior sample ``i`` (see :func:`curve_windows`)."""
-    return _curve_windows(sc, traj, [i])[0].residuals
+    return curve_windows(sc, traj, [i])[0].residuals
 
 
 def check_geodesic_conditions(sc: ClairautScenario, windows) -> CheckReport:

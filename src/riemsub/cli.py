@@ -37,6 +37,7 @@ from .clairaut import (
     clairaut_invariant,
     curve_windows,
     interior_indices,
+    invariant_drift,
     invariant_series,
     pq_curve_residual,
 )
@@ -302,14 +303,12 @@ def _cmd_geodesic(args) -> int:
         rows.append(",".join(repr(float(x)) for x in values))
     text = "\n".join(rows) + "\n"
 
-    c0 = float(invariant[0])
-    drift = float(abs(invariant - c0).max())
+    c0, drift, relative = invariant_drift(invariant)
     summary = [
         f"samples: {len(traj)}   step: {traj.step:g}   "
         f"arc length: {float(traj.s[-1]):g}",
         f"energy drift: {traj.energy_drift:.3e}",
-        f"invariant: initial {c0!r}, max drift {drift:.3e} "
-        f"(relative {drift / max(abs(c0), 1e-9):.3e})",
+        f"invariant: initial {c0!r}, max drift {drift:.3e} (relative {relative:.3e})",
     ]
     if exited is not None:
         summary.append(f"left the sampling domain at s={exited.s:g}")

@@ -18,6 +18,9 @@ from .expr import Expr, ExprArray, Const, is_zero, parse, partials
 
 RANK_RTOL = 1e-8
 _MAX_SAMPLE_TRIES = 10_000
+# Most RK4 steps one integration takes: every step keeps its sample, so a
+# finite but huge length/step would run until memory runs out.
+MAX_STEPS = 10**6
 
 
 class GeometryError(Exception):
@@ -316,7 +319,8 @@ def geodesic_integrate(
 ) -> GeodesicTrajectory:
     """Classical fixed-step RK4 solution of the geodesic equation.
 
-    Integrates ``round(length / step)`` steps of exactly ``step``.  Raises
+    Integrates ``round(length / step)`` steps of exactly ``step``, at most
+    ``MAX_STEPS`` (more raise :class:`ValueError`).  Raises
     :class:`DomainExitError` (carrying the partial trajectory) if the curve
     leaves the sampling domain.
     """
@@ -326,6 +330,9 @@ def geodesic_integrate(
         raise ValueError("length must be nonnegative")
     if not (math.isfinite(step) and math.isfinite(length / step)):
         raise ValueError(f"length {length} and step {step} must give a finite number of steps")
+    n_steps = max(int(round(length / step)), 0)
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"length {length} and step {step} give {n_steps} steps, more than {MAX_STEPS}")
     p0 = np.asarray(p0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not M.domain.contains(p0):
@@ -335,7 +342,6 @@ def geodesic_integrate(
         gamma = christoffel(M, x)
         return -np.einsum("kij,i,j->k", gamma, v, v)
 
-    n_steps = max(int(round(length / step)), 0)
     points = [p0]
     velocities = [v0]
     x, v = p0, v0

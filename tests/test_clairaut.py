@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import build_scenario_ii, circle_trajectory
+from conftest import build_scenario_ii, build_warped_map, circle_trajectory
 from riemsub.clairaut import (
+    ClairautScenario,
     NonGeodesicError,
     alpha_beta_split,
     check_anti_invariant,
@@ -23,6 +24,7 @@ from riemsub.clairaut import (
 )
 from riemsub.expr import parse
 from riemsub.geometry import (
+    GeodesicTrajectory,
     box_domain,
     geodesic_integrate,
     metric_norm,
@@ -30,7 +32,7 @@ from riemsub.geometry import (
 )
 from riemsub.hermitian import AlmostComplexField
 from riemsub.presets import euclidean_manifold, twisted_phi
-from riemsub.submersion import SmoothMap, build_frame
+from riemsub.submersion import SmoothMap, build_frame, frame_at
 
 SQ2 = np.sqrt(2.0)
 
@@ -207,6 +209,40 @@ def test_invariant_vertical_geodesic_example_i(scenario_i):
     sin_theta, invariant = invariant_series(scenario_i, traj)
     assert abs(sin_theta - 1.0).max() < 1e-10
     assert abs(invariant - 1.0).max() < 1e-10
+
+
+def _one_point_series(sc, traj):
+    """``sin(theta)`` and ``e^f sin(theta)`` sample by sample, from one-point
+    frames, scalar norms and the expression tree."""
+    sin_theta, invariant = [], []
+    for p, v in zip(traj.points, traj.velocities):
+        fr = frame_at(sc.F, p)
+        sin_theta.append(metric_norm(fr.metric, fr.vertical_part(v)) / metric_norm(fr.metric, v))
+        invariant.append(np.exp(sc.f.eval(p)) * sin_theta[-1])
+    return np.array(sin_theta), np.array(invariant)
+
+
+@pytest.mark.parametrize("curve", ["example-ii", "warped-product"])
+def test_invariant_series_matches_one_point_reference(curve, scenario_ii):
+    if curve == "example-ii":
+        sc, p0, v0 = scenario_ii, (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2)
+    else:
+        sc = ClairautScenario("warped", None, build_warped_map(), parse("x1", 4))
+        p0, v0 = (0.1, 0.2, -0.1, 0.3), (0.4, 0.5, 0.3, -0.2)
+    traj = geodesic_integrate(sc.M, p0, v0, 1.0, 1e-3)
+    for got, want in zip(invariant_series(sc, traj), _one_point_series(sc, traj)):
+        assert got.shape == want.shape == (len(traj),)
+        assert abs(got - want).max() <= 4 * np.finfo(float).eps * max(1.0, abs(want).max())
+
+
+def test_invariant_series_rejects_a_slow_sample_mid_curve(scenario_ii):
+    s = 1e-3 * np.arange(9)
+    points = np.array([1.0, 0.0, 0.0, 0.0]) + s[:, None] * np.array([0.0, 1.0, 0.0, 0.0])
+    velocities = np.tile([0.0, 1.0, 0.0, 0.0], (9, 1))
+    velocities[4] = [0.0, 1e-13, 0.0, 0.0]
+    traj = GeodesicTrajectory.from_samples(scenario_ii.M, s, points, velocities, 1e-3)
+    with pytest.raises(ValueError, match="curve is not regular"):
+        invariant_series(scenario_ii, traj)
 
 
 def test_geodesic_conditions_on_integrated_geodesics(scenario_i, scenario_ii):

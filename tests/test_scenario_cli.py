@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import riemsub
-from riemsub import clairaut, cli, state
+from riemsub import clairaut, cli, geometry, state
 from riemsub.cli import CHECKS, main, run_scenario
 from riemsub.scenario import (
     ScenarioValidationError,
@@ -173,6 +173,12 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             _with(MINIMAL, geodesics=[_GEODESIC]),
             "finite number of steps", id="geodesic-step-count-overflow",
         ),
+        # Finite, but 10^20 steps: refused before the first one.
+        pytest.param(
+            ["geodesic", "--length", "1e-300", "--step", "1e-320"],
+            _with(MINIMAL, geodesics=[_GEODESIC]),
+            "steps, more than 1000000", id="geodesic-step-count-over-cap",
+        ),
         pytest.param(
             ["check"], _with(MINIMAL, clairaut={"f": "x1^2^2000"}),
             "clairaut.f", id="exponent-overflow",
@@ -240,7 +246,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
     argv = [command[0], str(_write(tmp_path, doc))] + command[1:]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from riemsub.cli import main; sys.exit(main())", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -348,6 +354,16 @@ def test_skip_paths(tmp_path, doc, expected, omitted):
         assert "left the sampling domain" in failed.details["error"]
 
 
+def test_step_count_over_the_cap_fails_integration(tmp_path, monkeypatch):
+    # 500 steps against a cap of 100: the curve is refused before the loop.
+    monkeypatch.setattr(geometry, "MAX_STEPS", 100)
+    report = run_scenario(_write(tmp_path, _with(MINIMAL, geodesics=[_GEODESIC])))
+    checks = {c.name: c for c in report.checks if c.name.startswith("geodesic-")}
+    assert list(checks) == ["geodesic-0-integration"]
+    assert checks["geodesic-0-integration"].verdict == "fail"
+    assert "500 steps, more than 100" in checks["geodesic-0-integration"].details["error"]
+
+
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 _WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yaml")
 
@@ -361,13 +377,13 @@ _WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yam
 )
 def test_each_curve_window_is_built_once(monkeypatch, scenario, builds):
     built = []
-    original = clairaut._curve_windows
+    original = cli.curve_windows
 
     def counted(sc, traj, indices):
         built.extend((traj.points[0].tobytes(), traj.velocities[0].tobytes(), i) for i in indices)
         return original(sc, traj, indices)
 
-    monkeypatch.setattr(clairaut, "_curve_windows", counted)
+    monkeypatch.setattr(cli, "curve_windows", counted)
     run_scenario(resolve_scenario_path(scenario), samples=3)
     assert len(built) == builds
     assert len(set(built)) == builds
@@ -378,21 +394,35 @@ def test_each_sample_frame_is_built_once(monkeypatch):
     # the decomposition stencils (two directions, four offsets), 800 for the
     # basicness stencil, 250 for the 50 curve windows (five samples each)
     # and 10,005 for the invariant series of the five 2001-sample geodesics.
-    built, drawn = [], []
+    # Each of those is one stacked build: one base state, two decomposition
+    # stencils, one basicness stencil, two window states and one series
+    # state per geodesic.
+    built, drawn, in_series = [], [], []
     original_bases, original_points = state.vertical_bases, cli.sample_points
+    original_series = clairaut.invariant_series
 
     def counted_bases(F, points, metric, jacobian):
-        built.append(np.array(points))
+        built.append((np.array(points), bool(in_series)))
         return original_bases(F, points, metric, jacobian)
 
     def recorded_points(*args):
         drawn.append(original_points(*args))
         return drawn[-1]
 
+    def flagged_series(sc, traj):
+        in_series.append(True)
+        try:
+            return original_series(sc, traj)
+        finally:
+            in_series.pop()
+
     monkeypatch.setattr(state, "vertical_bases", counted_bases)
     monkeypatch.setattr(cli, "sample_points", recorded_points)
+    monkeypatch.setattr(clairaut, "invariant_series", flagged_series)
     run_scenario(resolve_scenario_path("example-ii"))
-    points = np.concatenate(built)
+    assert len(built) == 19
+    assert [len(p) for p, series in built if series] == [2001] * 5
+    points = np.concatenate([p for p, _ in built])
     assert len(points) == 12855
     (samples,) = drawn
     assert len(samples) == 200
