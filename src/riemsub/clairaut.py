@@ -20,24 +20,19 @@ from .geometry import GeodesicTrajectory, ManifoldSpec, metric_norm
 from .hermitian import AlmostComplexField, _nabla_phi, apply_phi, nabla_phi
 from .report import CheckReport, Tolerances
 from .state import (
+    FD_STEP,
+    STENCIL_OFFSETS,
     Frame,
     SampleState,
     SubmersionError,
     _fix_sign,
     apply,
+    five_point,
     metric_norms,
     pairs,
     sample_state,
 )
-from .submersion import (
-    FD_STEP,
-    SmoothMap,
-    _oneill,
-    build_frame,
-    fiber_character,
-    five_point,
-    stencil_points,
-)
+from .submersion import SmoothMap, _oneill, build_frame, fiber_character
 
 
 class NonGeodesicError(Exception):
@@ -47,6 +42,8 @@ class NonGeodesicError(Exception):
 # Below this metric speed a curve has no direction, so the angle the
 # Clairaut invariant measures is undefined.
 MIN_SPEED = 1e-12
+# Most sample points one run draws: at about 8 kB of state each, 0.8 GB.
+MAX_SAMPLES = 10**5
 
 
 @dataclass(frozen=True)
@@ -273,7 +270,7 @@ def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) 
     idx = np.asarray(interior_indices(traj) if indices is None else indices, dtype=int)
     if len(idx) and (idx.min() < 2 or idx.max() > len(traj) - 3):
         raise ValueError("index must leave a margin of two interior samples")
-    around = (np.array([-2, -1, 1, 2])[:, None] + idx).ravel()  # rows (offset, window)
+    around = (np.array(STENCIL_OFFSETS, dtype=int)[:, None] + idx).ravel()  # rows (offset, window)
     center = SampleState(traj.points[idx], sc.M, sc.F, sc.J, sc.f)
     side = SampleState(traj.points[around], sc.M, sc.F, sc.J)
 
@@ -288,7 +285,7 @@ def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) 
     v = traj.velocities[idx]
     phiU, alpha, beta, U, X = fields(center, v)
     d_phiU, d_alpha, d_beta = (
-        five_point(s.reshape((4,) + c.shape), traj.step)
+        five_point(s, traj.step)
         + np.einsum("nkij,ni,nj->nk", center.christoffel, v, c)
         for s, c in zip(fields(side, traj.velocities[around]), (phiU, alpha, beta))
     )
@@ -366,13 +363,11 @@ def _basic_residual(sc: ClairautScenario, st: SampleState) -> float:
     """
     N, k, m = st.vertical.shape
     residual = 0.0
-    for direction in st.vertical.swapaxes(0, 1):
-        disp = SampleState(stencil_points(st.points, direction).reshape(-1, m), sc.M, sc.F, sc.J)
-        w = disp.vertical.reshape(4, N, k, m)
+    for disp in st.vertical_stencils:
+        w = disp.vertical.reshape(-1, N, k, m)
         along = np.einsum("onki,nij,nkj->onk", w, st.metric, st.vertical)
         w = np.where(along[..., None] < 0.0, -w, w).reshape(-1, k, m)
-        pushed = apply(disp.jacobian, apply(disp.phi, w)).reshape(4, N, k, -1)
-        d = five_point(pushed, FD_STEP)
+        d = five_point(apply(disp.jacobian, apply(disp.phi, w)), FD_STEP)
         residual = max(residual, float(metric_norms(st.target_metric, d).max(initial=0.0)))
     return residual
 

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .clairaut import (
+    MAX_SAMPLES,
     MIN_SPEED,
     ClairautScenario,
     NonGeodesicError,
@@ -195,8 +196,8 @@ def run_scenario(
     sc = bundle.scenario
     if seed is not None and seed < 0:
         raise ScenarioValidationError("--seed: must be nonnegative")
-    if samples is not None and samples < 1:
-        raise ScenarioValidationError("--samples must be positive")
+    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+        raise ScenarioValidationError(f"--samples must be between 1 and {MAX_SAMPLES}")
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
         raise ScenarioValidationError("--tolerance-scale must be finite and positive")
     overrides = {"seed": seed, "count": samples}
@@ -298,9 +299,8 @@ def _cmd_geodesic(args) -> int:
     sin_theta, invariant = invariant_series(sc, traj)
     coords = [f"{c}{i}" for c in "xv" for i in range(1, sc.M.dim + 1)]
     rows = [",".join(["s", *coords, "sin_theta", "invariant"])]
-    for k in range(len(traj)):
-        values = [traj.s[k], *traj.points[k], *traj.velocities[k], sin_theta[k], invariant[k]]
-        rows.append(",".join(repr(float(x)) for x in values))
+    table = np.column_stack([traj.s, traj.points, traj.velocities, sin_theta, invariant])
+    rows += [",".join(map(repr, row.tolist())) for row in table]
     text = "\n".join(rows) + "\n"
 
     c0, drift, relative = invariant_drift(invariant)

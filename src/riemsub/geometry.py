@@ -307,9 +307,8 @@ class GeodesicTrajectory:
         s = np.asarray(s, dtype=float)
         points = np.asarray(points, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
-        energies = np.array(
-            [v @ M.metric_at(p) @ v for p, v in zip(points, velocities)]
-        )
+        # ``v @ g @ v`` per sample, bit for bit (einsum sums in another order)
+        energies = (velocities[:, None] @ M.metric_at(points) @ velocities[..., None])[:, 0, 0]
         drift = float(abs(energies - energies[0]).max()) if len(energies) else 0.0
         return cls(s, points, velocities, float(step), energies, drift)
 
@@ -317,7 +316,8 @@ class GeodesicTrajectory:
 def geodesic_integrate(
     M: ManifoldSpec, p0, v0, length: float, step: float
 ) -> GeodesicTrajectory:
-    """Classical fixed-step RK4 solution of the geodesic equation.
+    """Classical fixed-step RK4 solution of the geodesic equation, as the
+    first-order system ``y = (x, v)``, ``y' = (v, -Gamma(x)(v, v))``.
 
     Integrates ``round(length / step)`` steps of exactly ``step``, at most
     ``MAX_STEPS`` (more raise :class:`ValueError`).  Raises
@@ -333,35 +333,33 @@ def geodesic_integrate(
     n_steps = max(int(round(length / step)), 0)
     if n_steps > MAX_STEPS:
         raise ValueError(f"length {length} and step {step} give {n_steps} steps, more than {MAX_STEPS}")
-    p0 = np.asarray(p0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if not M.domain.contains(p0):
-        raise ValueError(f"initial point {p0.tolist()} outside sampling domain")
+    m = M.dim
+    y = np.concatenate([p0, v0], dtype=float)
+    if not M.domain.contains(y[:m]):
+        raise ValueError(f"initial point {y[:m].tolist()} outside sampling domain")
 
-    def acceleration(x, v):
-        gamma = christoffel(M, x)
-        return -np.einsum("kij,i,j->k", gamma, v, v)
+    def rate(z):
+        v = z[m:]
+        return np.concatenate([v, -np.einsum("kij,i,j->k", christoffel(M, z[:m]), v, v)])
 
-    points = [p0]
-    velocities = [v0]
-    x, v = p0, v0
+    # Row k holds sample k: its point, then its velocity.
+    samples = np.empty((n_steps + 1, 2 * m))
+    samples[0] = y
+    n = n_steps + 1
     for k in range(n_steps):
-        k1x, k1v = v, acceleration(x, v)
-        k2x, k2v = v + 0.5 * step * k1v, acceleration(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
-        k3x, k3v = v + 0.5 * step * k2v, acceleration(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
-        k4x, k4v = v + step * k3v, acceleration(x + step * k3x, v + step * k3v)
-        x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not M.domain.contains(x):
-            partial = GeodesicTrajectory.from_samples(
-                M, step * np.arange(len(points)), points, velocities, step
-            )
-            raise DomainExitError(partial, x, (k + 1) * step)
-        points.append(x)
-        velocities.append(v)
-    return GeodesicTrajectory.from_samples(
-        M, step * np.arange(len(points)), points, velocities, step
-    )
+        k1 = rate(y)
+        k2 = rate(y + 0.5 * step * k1)
+        k3 = rate(y + 0.5 * step * k2)
+        k4 = rate(y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not M.domain.contains(y[:m]):
+            n = k + 1
+            break
+        samples[k + 1] = y
+    traj = GeodesicTrajectory.from_samples(M, step * np.arange(n), samples[:n, :m], samples[:n, m:], step)
+    if n <= n_steps:
+        raise DomainExitError(traj, y[:m], n * step)
+    return traj
 
 
 def sample_points(domain: SamplingDomain, count: int, seed) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .clairaut import ClairautScenario, SamplingConfig
+from .clairaut import MAX_SAMPLES, ClairautScenario, SamplingConfig
 from .expr import ExprError, parse
 from .geometry import ExclusionTube, ManifoldSpec, SamplingDomain
 from .hermitian import AlmostComplexField
@@ -210,8 +210,8 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
             count=_as_int(s_raw.get("count", sampling.count), "sampling.count"),
             seed=_as_int(s_raw.get("seed", sampling.seed), "sampling.seed"),
         )
-        if sampling.count < 1:
-            _err("sampling.count", "must be positive")
+        if not 1 <= sampling.count <= MAX_SAMPLES:
+            _err("sampling.count", f"must be between 1 and {MAX_SAMPLES}")
         if sampling.seed < 0:
             _err("sampling.seed", "must be nonnegative")
 

@@ -15,7 +15,7 @@ orthonormalized in the source metric with a deterministic sign rule
 (largest-magnitude component positive).
 
 Vectors handed to the methods carry the sample axis first and any probe
-axes after it, ``(N, ..., m)``.  The one-point helpers (``frame_at``,
+axes after it, ``(N, ..., m)``.  The one-point helpers (``build_frame``,
 ``tensor_T``, ``nabla_phi``, ...) build a state of one row.
 """
 
@@ -96,6 +96,26 @@ def pairs(basis: np.ndarray):
     """``(E, F)`` with ``E[n, j, k] = basis[n, j]`` and ``F[n, j, k] = basis[n, k]``."""
     shape = basis.shape[:2] + basis.shape[1:]
     return np.broadcast_to(basis[:, :, None], shape), np.broadcast_to(basis[:, None], shape)
+
+
+# The five-point stencil reads the points ``p + t FD_STEP u`` at these
+# offsets ``t``, stacked offset-major: as rows (offset, sample).
+FD_STEP = 1e-5
+STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
+
+
+def stencil_points(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The stencil's rows around points ``p`` along directions ``u`` ``(N, m)``."""
+    return np.stack([p + (t * FD_STEP) * u for t in STENCIL_OFFSETS]).reshape(-1, p.shape[-1])
+
+
+def five_point(rows, h: float) -> np.ndarray:
+    """Fourth-order central derivative from the stencil's rows of values at
+    -2h, -h, +h, +2h.  Differences are grouped before summing so that
+    nearly-equal samples cancel exactly instead of leaving an ulp residue
+    amplified by 1/h."""
+    m2, m1, p1, p2 = np.split(rows, len(STENCIL_OFFSETS))
+    return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
 
 
 def _fix_sign(rows: np.ndarray) -> np.ndarray:
@@ -241,6 +261,13 @@ class SampleState:
         """g-orthonormal horizontal bases ``(N, n, m)``."""
         self.vertical  # a rank-deficient Jacobian is reported there
         return horizontal_bases(self.metric, self.jacobian)
+
+    @cached_property
+    def vertical_stencils(self) -> tuple:
+        """The states at ``stencil_points(points, V_k)``, one per vertical
+        basis vector ``V_k``, which every finite-difference oracle shares."""
+        return tuple(SampleState(stencil_points(self.points, u), self.M, self.F, self.J)
+                     for u in self.vertical.swapaxes(0, 1))
 
     def vertical_part(self, v: np.ndarray) -> np.ndarray:
         coeffs = np.einsum("nkj,n...j->n...k", self.vertical, apply(self.metric, v))

@@ -2,7 +2,7 @@
 
 The vertical/horizontal split is part of the per-sample state
 (:mod:`riemsub.state`): each check builds the frames of all its points at
-once, and :func:`frame_at` is the one-point case.
+once, and :func:`build_frame` is the one-point case.
 
 The two fundamental tensors are evaluated from their defining formulas
 
@@ -20,10 +20,10 @@ every sample and probe vector of a state in one pass; ``tensor_T`` and
 Finite differences remain only in the oracles: ``check_decompositions``
 compares the tensors with covariant derivatives of fields re-projected at
 displaced points (frames recomputed there, one state for all displaced
-points of a stencil direction) and differentiated with a five-point
-stencil.  Those projections only use the projector onto the span, never a
-basis-vector identification across nearby points, which keeps the
-differentiation stable.
+points of a stencil direction, kept on the base state for the vertical
+ones) and differentiated with a five-point stencil.  Those projections
+only use the projector onto the span, never a basis-vector identification
+across nearby points, which keeps the differentiation stable.
 """
 
 from __future__ import annotations
@@ -34,17 +34,19 @@ from .expr import ExprArray
 from .geometry import ManifoldSpec, VectorField, _field_value
 from .report import CheckReport, Tolerances
 from .state import (  # noqa: F401  (the errors and Frame are public here)
+    FD_STEP,
     Frame,
     RankDeficiencyError,
     SampleState,
     SubmersionError,
     apply,
+    five_point,
     metric_norms,
     pairs,
     sample_state,
+    stencil_points,
 )
 
-FD_STEP = 1e-5
 # Random vector pairs per sample in ``check_skew``.
 SKEW_PAIRS = 3
 
@@ -87,18 +89,13 @@ class SmoothMap:
         return self._hess.eval(np.asarray(point, dtype=float))
 
 
-def frame_at(F: SmoothMap, point) -> Frame:
+def build_frame(F: SmoothMap, point) -> Frame:
     """Orthonormal vertical and horizontal bases at ``point``: the one-row
     case of the per-sample state.  The vertical basis is built here, which
     raises on a rank-deficient Jacobian; the horizontal one on first use."""
     st = SampleState(np.asarray(point, dtype=float)[None], F.source, F)
     st.vertical
     return st.frame(0)
-
-
-def build_frame(F: SmoothMap, point) -> Frame:
-    """The frame at ``point``, as :func:`frame_at`."""
-    return frame_at(F, point)
 
 
 def check_submersion(
@@ -117,34 +114,18 @@ def check_submersion(
     )
 
 
-def five_point(samples, h: float) -> np.ndarray:
-    """Fourth-order central derivative from the values at -2h, -h, +h, +2h.
-
-    Differences are grouped before summing so that nearly-equal samples
-    cancel exactly instead of leaving an ulp residue amplified by 1/h.
-    """
-    m2, m1, p1, p2 = samples
-    return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
-
-
-def stencil_points(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``p + t u`` for the five-point stencil offsets ``t``, stacked first."""
-    h = FD_STEP
-    return np.stack([p + t * u for t in (-2.0 * h, -h, h, 2.0 * h)])
-
-
 def _projected_derivative(st, disp, u, values, disp_values, part: str) -> np.ndarray:
     """``nabla_u`` at the points of ``st`` of the projected field
     ``q -> proj_q(field(q))``, ``part`` selecting the vertical or horizontal
     projection.  The field takes the ``values`` ``(N, m)`` at the points and
     ``disp_values`` at the points of ``disp``, the state at
-    ``stencil_points(st.points, u)`` flattened to rows (offset, sample)."""
+    ``stencil_points(st.points, u)``."""
 
     def project(state, v):
         vert = state.vertical_part(v)
         return vert if part == "vertical" else v - vert
 
-    d = five_point(project(disp, disp_values).reshape((4,) + values.shape), FD_STEP)
+    d = five_point(project(disp, disp_values), FD_STEP)
     return d + np.einsum("nkij,ni,nj->nk", st.christoffel, u, project(st, values))
 
 
@@ -180,7 +161,7 @@ def _oneill(st: SampleState, kind: str, e, fp, fjac=None) -> np.ndarray:
 
 def _oneill_at(F: SmoothMap, E, Fld, point, kind: str, frame, gamma) -> np.ndarray:
     p = np.asarray(point, dtype=float)
-    fr = frame if frame is not None else frame_at(F, p)
+    fr = frame if frame is not None else build_frame(F, p)
     st = SampleState.at_frame(fr, F.source, F, gamma=gamma)
     # A plain vector is a constant field.
     fjac = Fld.jacobian_at(p)[None] if isinstance(Fld, VectorField) else None
@@ -237,12 +218,12 @@ def check_decompositions(
     where w~ denotes the re-projected extension of w.
     """
     st = sample_state(samples, F.source, F)
-    m = st.points.shape[1]
     v, w = st.vertical[:, 0], st.vertical[:, -1]
     x, y = st.horizontal[:, 0], st.horizontal[:, -1]
+    along_x = SampleState(stencil_points(st.points, x), F.source, F)
     residual = 0.0
-    for direction, kind, vecs in ((v, "T", (w, x)), (x, "A", (w, y))):
-        disp = SampleState(stencil_points(st.points, direction).reshape(-1, m), F.source, F)
+    for direction, disp, kind, vecs in ((v, st.vertical_stencils[0], "T", (w, x)),
+                                        (x, along_x, "A", (w, y))):
         for vec, part in zip(vecs, ("vertical", "horizontal")):
             d = _projected_derivative(st, disp, direction, vec, np.tile(vec, (4, 1)), part)
             # The tensor is the part of d complementary to the projection.

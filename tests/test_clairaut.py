@@ -32,7 +32,7 @@ from riemsub.geometry import (
 )
 from riemsub.hermitian import AlmostComplexField
 from riemsub.presets import euclidean_manifold, twisted_phi
-from riemsub.submersion import SmoothMap, build_frame, frame_at
+from riemsub.submersion import SmoothMap, build_frame
 
 SQ2 = np.sqrt(2.0)
 
@@ -216,7 +216,7 @@ def _one_point_series(sc, traj):
     frames, scalar norms and the expression tree."""
     sin_theta, invariant = [], []
     for p, v in zip(traj.points, traj.velocities):
-        fr = frame_at(sc.F, p)
+        fr = build_frame(sc.F, p)
         sin_theta.append(metric_norm(fr.metric, fr.vertical_part(v)) / metric_norm(fr.metric, v))
         invariant.append(np.exp(sc.f.eval(p)) * sin_theta[-1])
     return np.array(sin_theta), np.array(invariant)

@@ -18,6 +18,8 @@ from riemsub.geometry import (
 )
 from riemsub.presets import conformal_r2, euclidean_manifold
 
+from conftest import build_scenario_ii, build_warped_map
+
 
 @pytest.fixture(scope="module")
 def r4():
@@ -191,6 +193,74 @@ def test_domain_exit_reports_partial_trajectory(r4):
         geodesic_integrate(r4, (1.5, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 2.0, 1e-2)
     assert err.value.s <= 2.0
     assert len(err.value.trajectory) > 10
+
+
+def _reference_rk4(M, p0, v0, n_steps, step):
+    """Classical RK4 as separate point and velocity stage chains, sample by
+    sample: the points, the velocities and, on leaving the domain, the exit
+    point and arc parameter (else None, None)."""
+
+    def acceleration(x, v):
+        return -np.einsum("kij,i,j->k", christoffel(M, x), v, v)
+
+    x, v = np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)
+    points, velocities = [x], [v]
+    for k in range(n_steps):
+        k1x, k1v = v, acceleration(x, v)
+        k2x, k2v = v + 0.5 * step * k1v, acceleration(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
+        k3x, k3v = v + 0.5 * step * k2v, acceleration(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
+        k4x, k4v = v + step * k3v, acceleration(x + step * k3x, v + step * k3v)
+        x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not M.domain.contains(x):
+            return np.array(points), np.array(velocities), x, (k + 1) * step
+        points.append(x)
+        velocities.append(v)
+    return np.array(points), np.array(velocities), None, None
+
+
+def _assert_energies_match_per_sample(M, traj):
+    # The stacked energies against ``v @ g @ v`` sample by sample; a bound,
+    # not equality, because BLAS kernels may sum in another order.
+    reference = np.array([v @ M.metric_at(p) @ v for p, v in zip(traj.points, traj.velocities)])
+    scale = abs(reference).max()
+    assert abs(traj.energies - reference).max() <= 4 * np.finfo(float).eps * scale
+    assert traj.energy_drift == abs(traj.energies - traj.energies[0]).max()
+
+
+@pytest.mark.parametrize(
+    "manifold, p0, v0, n_steps",
+    [
+        ("example-ii", (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2), 2000),
+        ("warped", (0.2, 0.1, -0.3, 0.4), (0.3, 0.5, -0.2, 0.4), 1000),
+    ],
+)
+def test_integrator_matches_reference_rk4_bit_for_bit(manifold, p0, v0, n_steps):
+    M = build_scenario_ii().M if manifold == "example-ii" else build_warped_map().source
+    step = 1e-3
+    points, velocities, exit_point, _ = _reference_rk4(M, p0, v0, n_steps, step)
+    assert exit_point is None
+    traj = geodesic_integrate(M, p0, v0, n_steps * step, step)
+    assert len(traj) == n_steps + 1
+    assert traj.points.tobytes() == points.tobytes()
+    assert traj.velocities.tobytes() == velocities.tobytes()
+    assert traj.s.tobytes() == (step * np.arange(n_steps + 1)).tobytes()
+    _assert_energies_match_per_sample(M, traj)
+
+
+def test_domain_exit_matches_reference_rk4_bit_for_bit():
+    M = build_scenario_ii().M
+    p0, v0, step = (3.9, 0.2, 0.1, -0.2), (1.0, 0.8, 0.3, 0.2), 1e-3
+    points, velocities, exit_point, s = _reference_rk4(M, p0, v0, 3000, step)
+    with pytest.raises(DomainExitError) as err:
+        geodesic_integrate(M, p0, v0, 3.0, step)
+    partial = err.value.trajectory
+    assert len(partial) == len(points) == 101
+    assert partial.points.tobytes() == points.tobytes()
+    assert partial.velocities.tobytes() == velocities.tobytes()
+    assert err.value.exit_point.tobytes() == exit_point.tobytes()
+    assert err.value.s == s
+    _assert_energies_match_per_sample(M, partial)
 
 
 def test_exclusion_tube_sampling():

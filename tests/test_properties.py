@@ -3,7 +3,7 @@ analytic fundamental tensors.
 
 The per-node ``Expr.eval`` walk is the reference for :class:`ExprArray`,
 which must reproduce its values bit for bit and its errors word for word.
-The one-point helpers (``frame_at``, ``tensor_T``, ``tensor_A``,
+The one-point helpers (``build_frame``, ``tensor_T``, ``tensor_A``,
 ``nabla_phi``) are the reference for the stacked per-sample state, row by
 row.
 Central differences (``fd_derivative``) are the reference for the exact
@@ -40,7 +40,6 @@ from riemsub.submersion import (
     _covariant_projected,
     _oneill,
     build_frame,
-    frame_at,
     tensor_A,
     tensor_T,
 )
@@ -344,7 +343,7 @@ def _assert_state_matches_points(F, points, seed):
         "nabla_phi": _nabla_phi(st, e, f),
     }
     for i, p in enumerate(points):
-        fr = frame_at(F, p)
+        fr = build_frame(F, p)
         assert st.vertical[i].tobytes() == fr.vertical.tobytes(), p
         assert abs(st.horizontal[i] - fr.horizontal).max() <= 1e-15, p
         assert abs(st.metric[i] - fr.metric).max() <= 1e-15, p

@@ -238,6 +238,15 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["check"], _with(MINIMAL, sampling={"count": 10, "seed": -3}),
             "sampling.seed: must be nonnegative", id="negative-sampling-seed",
         ),
+        # Counts over the cap are refused before any sample is drawn.
+        pytest.param(
+            ["check", "--samples", "100000000000000000000"], MINIMAL,
+            "--samples must be between 1 and 100000", id="samples-over-cap",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, sampling={"count": 10**20}),
+            "sampling.count: must be between 1 and 100000", id="sampling-count-over-cap",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
@@ -391,12 +400,12 @@ def test_each_curve_window_is_built_once(monkeypatch, scenario, builds):
 
 def test_each_sample_frame_is_built_once(monkeypatch):
     # example-ii, 200 samples: 200 base frames, 1,600 displaced frames for
-    # the decomposition stencils (two directions, four offsets), 800 for the
-    # basicness stencil, 250 for the 50 curve windows (five samples each)
-    # and 10,005 for the invariant series of the five 2001-sample geodesics.
-    # Each of those is one stacked build: one base state, two decomposition
-    # stencils, one basicness stencil, two window states and one series
-    # state per geodesic.
+    # the decomposition stencils (two directions, four offsets; the stencil
+    # along the vertical vector is the base state's, which the basicness
+    # test reads too), 250 for the 50 curve windows (five samples each) and
+    # 10,005 for the invariant series of the five 2001-sample geodesics.
+    # Each of those is one stacked build: one base state, two stencil
+    # states, two window states and one series state per geodesic.
     built, drawn, in_series = [], [], []
     original_bases, original_points = state.vertical_bases, cli.sample_points
     original_series = clairaut.invariant_series
@@ -420,10 +429,10 @@ def test_each_sample_frame_is_built_once(monkeypatch):
     monkeypatch.setattr(cli, "sample_points", recorded_points)
     monkeypatch.setattr(clairaut, "invariant_series", flagged_series)
     run_scenario(resolve_scenario_path("example-ii"))
-    assert len(built) == 19
+    assert len(built) == 18
     assert [len(p) for p, series in built if series] == [2001] * 5
     points = np.concatenate([p for p, _ in built])
-    assert len(points) == 12855
+    assert len(points) == 12055
     (samples,) = drawn
     assert len(samples) == 200
     for p in samples:
