@@ -64,9 +64,8 @@ print()
 print("== geodesic-condition residuals ==")
 traj = geodesic_integrate(sc.M, (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2), 2.0, 1e-3)
 idx = interior_indices(traj, count=5)
-windows = curve_windows(sc, traj, idx)  # each window carries both residuals
-for i, w in zip(idx, windows):
-    rv, rh = w.residuals
+windows = curve_windows(sc, traj, idx)  # one array per residual, one entry per window
+for i, rv, rh in zip(idx, windows.vertical, windows.horizontal):
     print(f"s = {traj.s[i]:.3f}: vertical {rv:.2e}   horizontal {rh:.2e}")
 rep = check_clairaut_condition(sc, windows)
 print(f"Clairaut rate identity residual: {rep.max_residual:.2e} ({rep.verdict})")

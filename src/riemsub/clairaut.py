@@ -12,12 +12,13 @@ keep a margin of two samples from each end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .expr import Expr, ExprArray
-from .geometry import GeodesicTrajectory, ManifoldSpec, metric_norm
-from .hermitian import AlmostComplexField, _nabla_phi, apply_phi, nabla_phi
+from .geometry import GeodesicTrajectory, ManifoldSpec, _field_value
+from .hermitian import AlmostComplexField, _nabla_phi
 from .report import CheckReport, Tolerances
 from .state import (
     FD_STEP,
@@ -32,7 +33,7 @@ from .state import (
     pairs,
     sample_state,
 )
-from .submersion import SmoothMap, _oneill, build_frame, fiber_character
+from .submersion import SmoothMap, _oneill, fiber_character
 
 
 class NonGeodesicError(Exception):
@@ -127,7 +128,7 @@ def mu_basis(sc: ClairautScenario, fr: Frame) -> np.ndarray:
     and keeps the ``mu_dim`` largest-norm survivors (norm-pivoted, so the
     selection is deterministic).
     """
-    return _mu_rows(sc, SampleState.at_frame(fr, sc.M, sc.F, sc.J))[0]
+    return _mu_rows(sc, _state(sc, fr.point))[0]
 
 
 def check_anti_invariant(sc: ClairautScenario, samples) -> CheckReport:
@@ -144,35 +145,26 @@ def check_anti_invariant(sc: ClairautScenario, samples) -> CheckReport:
     )
 
 
-def alpha_beta_split(
-    sc: ClairautScenario, point, X, frame: Frame | None = None
-) -> SplitResult:
+def alpha_beta_split(sc: ClairautScenario, point, X) -> SplitResult:
     """Split ``phi X`` into its vertical part and its remainder in mu."""
-    p = np.asarray(point, dtype=float)
-    fr = frame if frame is not None else build_frame(sc.F, p)
-    X = np.asarray(X, dtype=float)
-    g = fr.metric
-    if metric_norm(g, fr.vertical_part(X)) > 1e-10 * max(1.0, metric_norm(g, X)):
+    st = _state(sc, point)
+    X = np.asarray(X, dtype=float)[None]
+    if st.norm(st.vertical_part(X))[0] > 1e-10 * max(1.0, st.norm(X)[0]):
         raise ValueError("input vector is not horizontal at the given point")
-    phiX = apply_phi(sc.J, p, X)
-    alpha = fr.vertical_part(phiX)
+    phiX = apply(st.phi, X)
+    alpha = st.vertical_part(phiX)
     beta = phiX - alpha
-    mu = mu_basis(sc, fr)
-    phiV = np.array([apply_phi(sc.J, p, v) for v in fr.vertical])
-    phiker_residual = max(
-        (abs(float(beta @ g @ pv)) for pv in phiV), default=0.0
-    )
-    vertical_residual = metric_norm(g, fr.vertical_part(beta))
-    return SplitResult(alpha, beta, mu, vertical_residual, phiker_residual)
+    phiker = abs(st.inner(beta[:, None], apply(st.phi, st.vertical))).max(initial=0.0)
+    vertical = st.norm(st.vertical_part(beta))[0]
+    return SplitResult(alpha[0], beta[0], _mu_rows(sc, st)[0], float(vertical), float(phiker))
 
 
-def pq_tensors(sc: ClairautScenario, U, V, point, frame: Frame | None = None):
+def pq_tensors(sc: ClairautScenario, U, V, point):
     """Horizontal and vertical parts of ``(nabla_U phi) V``."""
-    p = np.asarray(point, dtype=float)
-    fr = frame if frame is not None else build_frame(sc.F, p)
-    d = nabla_phi(sc.M, sc.J, U, V, p)
-    vert = fr.vertical_part(d)
-    return d - vert, vert
+    st = _state(sc, point)
+    d = _nabla_phi(st, _field_value(U, point)[None], _field_value(V, point)[None])
+    vert = st.vertical_part(d)
+    return (d - vert)[0], vert[0]
 
 
 def check_bishop(sc: ClairautScenario, samples) -> CheckReport:
@@ -235,18 +227,18 @@ def clairaut_invariant(sc: ClairautScenario, traj: GeodesicTrajectory) -> CheckR
     )
 
 
-@dataclass(frozen=True)
-class _CurveWindow:
-    """Residuals at one interior trajectory sample: the vertical and the
-    horizontal geodesic condition (``residuals``) and the Clairaut rate
-    identity (``clairaut_residual``)."""
+class CurveWindows(NamedTuple):
+    """Residuals at interior trajectory samples, one ``(n_windows,)`` array
+    each: the vertical and the horizontal geodesic condition and the
+    Clairaut rate identity (see :func:`curve_windows`)."""
 
-    residuals: tuple
-    clairaut_residual: float
+    vertical: np.ndarray
+    horizontal: np.ndarray
+    clairaut: np.ndarray
 
 
-def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) -> list:
-    """One window per interior sample ``i`` of ``indices`` (default:
+def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) -> CurveWindows:
+    """The windows at the interior samples ``i`` of ``indices`` (default:
     :func:`interior_indices`), which the two curve checks read: split the five
     samples ``i-2..i+2`` as ``v = U + X`` (vertical, horizontal) and
     ``phi X = alpha + beta`` (vertical, in mu), take the covariant
@@ -285,8 +277,7 @@ def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) 
     v = traj.velocities[idx]
     phiU, alpha, beta, U, X = fields(center, v)
     d_phiU, d_alpha, d_beta = (
-        five_point(s, traj.step)
-        + np.einsum("nkij,ni,nj->nk", center.christoffel, v, c)
+        five_point(s, traj.step) + center.connection(v, c)
         for s, c in zip(fields(side, traj.velocities[around]), (phiU, alpha, beta))
     )
     a_phiU, a_beta, a_alpha = _oneill(
@@ -303,10 +294,7 @@ def curve_windows(sc: ClairautScenario, traj: GeodesicTrajectory, indices=None) 
         + center.horizontal_part(_nabla_phi(center, v, U))
     )
     rates = abs(lhs - center.inner(rhs, phiU))
-    return [
-        _CurveWindow((float(a), float(b)), float(c))
-        for a, b, c in zip(center.norm(r_vert), center.norm(r_horiz), rates)
-    ]
+    return CurveWindows(center.norm(r_vert), center.norm(r_horiz), rates)
 
 
 def interior_indices(traj: GeodesicTrajectory, count: int = 10):
@@ -320,20 +308,19 @@ def interior_indices(traj: GeodesicTrajectory, count: int = 10):
 def geodesic_condition_residuals(sc: ClairautScenario, traj: GeodesicTrajectory, i: int):
     """Residual norms of the vertical and the horizontal geodesic condition
     at interior sample ``i`` (see :func:`curve_windows`)."""
-    return curve_windows(sc, traj, [i])[0].residuals
+    w = curve_windows(sc, traj, [i])
+    return float(w.vertical[0]), float(w.horizontal[0])
 
 
-def check_geodesic_conditions(sc: ClairautScenario, windows) -> CheckReport:
-    """Both geodesic-condition residuals over a list of curve windows."""
-    residual = 0.0
-    for w in windows:
-        residual = max(residual, *w.residuals)
+def check_geodesic_conditions(sc: ClairautScenario, windows: CurveWindows) -> CheckReport:
+    """Both geodesic-condition residuals over a trajectory's curve windows."""
+    residual = np.maximum(windows.vertical, windows.horizontal).max(initial=0.0)
     return CheckReport.from_residual(
-        "geodesic-conditions", "th1", len(windows), residual, sc.tolerances.drift
+        "geodesic-conditions", "th1", len(windows.vertical), float(residual), sc.tolerances.drift
     )
 
 
-def check_clairaut_condition(sc: ClairautScenario, windows) -> CheckReport:
+def check_clairaut_condition(sc: ClairautScenario, windows: CurveWindows) -> CheckReport:
     """Residual of the Clairaut rate identity along a geodesic (see
     :func:`curve_windows`).  Rejects curves that fail the geodesic gate,
     read from the residuals the windows carry."""
@@ -343,11 +330,9 @@ def check_clairaut_condition(sc: ClairautScenario, windows) -> CheckReport:
             f"geodesic-condition residual {gate.max_residual:.3e} exceeds "
             f"{gate.tolerance:.3e}; input curve is not a geodesic"
         )
-    residual = 0.0
-    for w in windows:
-        residual = max(residual, w.clairaut_residual)
     return CheckReport.from_residual(
-        "clairaut-condition", "eq-6", len(windows), residual, gate.tolerance
+        "clairaut-condition", "eq-6", len(windows.clairaut),
+        float(windows.clairaut.max(initial=0.0)), gate.tolerance,
     )
 
 

@@ -175,10 +175,14 @@ def _run_checks(entries, s: _Run, label=str) -> list:
 
 
 def _check_regular_start(M, cfg: GeodesicConfig, path: str) -> None:
-    """Reject a trajectory whose metric speed at ``p0`` is below
-    ``MIN_SPEED``: the angle the Clairaut checks measure along it is
+    """Reject a trajectory whose metric speed at ``p0`` is not finite or is
+    below ``MIN_SPEED``: the angle the Clairaut checks measure along it is
     undefined."""
-    if metric_norm(M.metric_at(cfg.p0), np.asarray(cfg.v0, dtype=float)) < MIN_SPEED:
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = metric_norm(M.metric_at(cfg.p0), np.asarray(cfg.v0, dtype=float))
+    if not math.isfinite(speed):
+        raise ScenarioValidationError(f"{path}: metric speed at p0 must be finite")
+    if speed < MIN_SPEED:
         raise ScenarioValidationError(
             f"{path}: must be nonzero, with metric speed at least {MIN_SPEED:g} at p0"
         )
@@ -209,7 +213,7 @@ def run_scenario(
     rngs = [np.random.default_rng(x) for x in np.random.SeedSequence(sc.sampling.seed).spawn(5)]
     pts = sample_points(sc.M.domain, sc.sampling.count, rngs[0])
     sc.M.validate(pts)
-    sc.N.validate([sc.F.map_point(p) for p in pts[:25]])
+    sc.N.validate(sc.F.map_point(pts[:25]))
 
     run = _Run(sc, tol, rngs, SampleState(pts, sc.M, sc.F, sc.J, sc.f), {})
     checks = _run_checks([e for e in CHECKS if not e[0].startswith("geodesic-")], run)

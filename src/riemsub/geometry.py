@@ -137,14 +137,20 @@ class ManifoldSpec:
         return np.linalg.inv(g)
 
     def validate(self, samples) -> None:
-        """Check symmetry and positive definiteness at the given points."""
-        for p in np.atleast_2d(np.asarray(samples, dtype=float)):
-            g = self.metric_at(p)
-            if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, abs(g).max())):
-                raise GeometryError(f"metric not symmetric at {p.tolist()}")
-            eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-            if eigs.min() <= RANK_RTOL * max(abs(np.diag(g)).max(), 1e-300):
-                raise GeometryError(f"metric not positive definite at {p.tolist()}")
+        """Check symmetry and positive definiteness at the given points,
+        stacked; raise for the first point that fails."""
+        pts = np.atleast_2d(np.asarray(samples, dtype=float))
+        g = self.metric_at(pts)
+        gT = g.swapaxes(1, 2)
+        # Written so that a NaN entry fails the symmetry test.
+        sym = (abs(g - gT) <= 1e-12 * np.maximum(1.0, abs(g).max((1, 2)))[:, None, None]).all((1, 2))
+        floor = RANK_RTOL * np.maximum(abs(np.diagonal(g, axis1=1, axis2=2)).max(-1), 1e-300)
+        ok = sym.copy()  # LAPACK is handed no NaN
+        ok[sym] = np.linalg.eigvalsh(0.5 * (g + gT)[sym]).min(-1) > floor[sym]
+        if not ok.all():
+            i = np.argmin(ok)
+            what = "positive definite" if sym[i] else "symmetric"
+            raise GeometryError(f"metric not {what} at {pts[i].tolist()}")
 
 
 def _check_invertible(g: np.ndarray, point) -> None:
@@ -198,6 +204,14 @@ def _field_value(X, point) -> np.ndarray:
     if isinstance(X, VectorField):
         return X.at(point)
     return np.asarray(X, dtype=float)
+
+
+def field_rows(X, point):
+    """``X`` at ``point`` as one-row arrays: its value ``(1, m)`` and Jacobian
+    ``(1, m, m)``, None for a plain tangent vector (a constant field)."""
+    p = np.asarray(point, dtype=float)
+    jacobian = X.jacobian_at(p)[None] if isinstance(X, VectorField) else None
+    return _field_value(X, p)[None], jacobian
 
 
 def metric_norm(g: np.ndarray, v: np.ndarray) -> float:

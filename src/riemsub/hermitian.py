@@ -61,9 +61,7 @@ def _nabla_phi(st: SampleState, x, y) -> np.ndarray:
     """
     out = np.einsum("nlij,n...l,n...j->n...i", st.phi_derivs, x, y)
     if not st.M.is_flat_constant:
-        gamma = st.christoffel
-        out = out + np.einsum("nkij,n...i,n...j->n...k", gamma, x, apply(st.phi, y))
-        out = out - apply(st.phi, np.einsum("nkij,n...i,n...j->n...k", gamma, x, y))
+        out = out + st.connection(x, apply(st.phi, y)) - apply(st.phi, st.connection(x, y))
     return out
 
 
@@ -73,9 +71,8 @@ def nabla_phi(M: ManifoldSpec, J: AlmostComplexField, X, Y, point) -> np.ndarray
     Tensorial in both arguments, so each may be a field or a plain tangent
     vector.  The one-point case of :func:`_nabla_phi`.
     """
-    p = np.asarray(point, dtype=float)
-    st = SampleState(p[None], M, J=J)
-    return _nabla_phi(st, _field_value(X, p)[None], _field_value(Y, p)[None])[0]
+    st = SampleState(np.atleast_2d(point), M, J=J)
+    return _nabla_phi(st, _field_value(X, point)[None], _field_value(Y, point)[None])[0]
 
 
 def check_structure(

@@ -16,7 +16,7 @@ orthonormalized in the source metric with a deterministic sign rule
 
 Vectors handed to the methods carry the sample axis first and any probe
 axes after it, ``(N, ..., m)``.  The one-point helpers (``build_frame``,
-``tensor_T``, ``nabla_phi``, ...) build a state of one row.
+``tensor_T``, ``nabla_phi``, ...) run the same kernels on a one-row state.
 """
 
 from __future__ import annotations
@@ -45,41 +45,37 @@ class RankDeficiencyError(SubmersionError):
 
 
 class Frame:
-    """Orthonormal bases of the vertical/horizontal split at one point: row
-    ``i`` of a :class:`SampleState`, whose arrays it reads on first use."""
+    """Orthonormal bases of the vertical/horizontal split at one point: a
+    one-row :class:`SampleState`, whose arrays it reads on first use."""
 
-    __slots__ = ("state", "i")
+    __slots__ = ("state",)
 
-    def __init__(self, state: "SampleState", i: int):
+    def __init__(self, state: "SampleState"):
         self.state = state
-        self.i = i
 
     @property
     def point(self) -> np.ndarray:
-        return self.state.points[self.i]
+        return self.state.points[0]
 
     @property
     def metric(self) -> np.ndarray:
-        return self.state.metric[self.i]
+        return self.state.metric[0]
 
     @property
     def vertical(self) -> np.ndarray:
         """``(m - n, m)`` rows, g-orthonormal."""
-        return self.state.vertical[self.i]
+        return self.state.vertical[0]
 
     @property
     def horizontal(self) -> np.ndarray:
         """``(n, m)`` rows, g-orthonormal."""
-        return self.state.horizontal[self.i]
+        return self.state.horizontal[0]
 
     def vertical_part(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        vertical = self.vertical
-        coeffs = vertical @ (self.metric @ v)
-        return coeffs @ vertical
+        return self.state.vertical_part(np.asarray(v, dtype=float)[None])[0]
 
     def horizontal_part(self, v) -> np.ndarray:
-        return np.asarray(v, dtype=float) - self.vertical_part(v)
+        return self.state.horizontal_part(np.asarray(v, dtype=float)[None])[0]
 
 
 def apply(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -90,6 +86,11 @@ def apply(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
 def metric_norms(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Norms of the vectors ``v`` ``(N, ..., m)`` in the metrics ``g`` ``(N, m, m)``."""
     return np.sqrt(np.maximum(np.einsum("n...i,nij,n...j->n...", v, g, v), 0.0))
+
+
+def connection(gamma: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``Gamma(u, w)`` for stacked symbols ``gamma`` ``(N, m, m, m)``, vectors ``(N, ..., m)``."""
+    return np.einsum("nkij,n...i,n...j->n...k", gamma, u, w)
 
 
 def pairs(basis: np.ndarray):
@@ -176,34 +177,11 @@ def sample_state(samples, M, F=None, J=None, f=None) -> "SampleState":
 
 
 class SampleState:
-    """Arrays at the points ``(N, m)``, each built on first use and kept.
+    """Arrays at the points ``(N, m)``, each built on first use and kept."""
 
-    ``known`` holds arrays already computed at these points, by attribute
-    name (a frame's bases, say).
-    """
-
-    def __init__(self, points, M, F=None, J=None, f=None, **known):
+    def __init__(self, points, M, F=None, J=None, f=None):
         self.points = np.asarray(points, dtype=float)
         self.M, self.F, self.J, self.f = M, F, J, f
-        self.__dict__.update(known)
-
-    @classmethod
-    def at_frame(cls, fr: Frame, M, F=None, J=None, f=None, gamma=None) -> "SampleState":
-        """The one-row state at a frame's point, with every array the
-        frame's state has built there and, when given, the Christoffel
-        symbols ``gamma``."""
-        i = fr.i
-        known = {
-            k: v[i:i + 1] for k, v in vars(fr.state).items()
-            if isinstance(v, np.ndarray) and k != "points"
-        }
-        if gamma is not None:
-            known["christoffel"] = np.asarray(gamma, dtype=float)[None]
-        return cls(fr.point[None], M, F, J, f, **known)
-
-    def frame(self, i: int) -> Frame:
-        """The frame at point ``i``."""
-        return Frame(self, i)
 
     # -- source geometry -------------------------------------------------
 
@@ -215,6 +193,10 @@ class SampleState:
     def christoffel(self) -> np.ndarray:
         """``G[n, k, i, j]``."""
         return christoffel(self.M, self.points)
+
+    def connection(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``Gamma(u, w)`` at each point for vectors ``(N, ..., m)``."""
+        return connection(self.christoffel, u, w)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``g(a, b)`` at each point for vectors ``(N, ..., m)``."""

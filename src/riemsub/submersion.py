@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import ExprArray
-from .geometry import ManifoldSpec, VectorField, _field_value
+from .geometry import ManifoldSpec, VectorField, _field_value, field_rows
 from .report import CheckReport, Tolerances
 from .state import (  # noqa: F401  (the errors and Frame are public here)
     FD_STEP,
@@ -40,6 +40,7 @@ from .state import (  # noqa: F401  (the errors and Frame are public here)
     SampleState,
     SubmersionError,
     apply,
+    connection,
     five_point,
     metric_norms,
     pairs,
@@ -95,7 +96,7 @@ def build_frame(F: SmoothMap, point) -> Frame:
     raises on a rank-deficient Jacobian; the horizontal one on first use."""
     st = SampleState(np.asarray(point, dtype=float)[None], F.source, F)
     st.vertical
-    return st.frame(0)
+    return Frame(st)
 
 
 def check_submersion(
@@ -125,8 +126,7 @@ def _projected_derivative(st, disp, u, values, disp_values, part: str) -> np.nda
         vert = state.vertical_part(v)
         return vert if part == "vertical" else v - vert
 
-    d = five_point(project(disp, disp_values), FD_STEP)
-    return d + np.einsum("nkij,ni,nj->nk", st.christoffel, u, project(st, values))
+    return five_point(project(disp, disp_values), FD_STEP) + st.connection(u, project(st, values))
 
 
 def _covariant_projected(F, direction, Fld: VectorField, p, gamma, part: str) -> np.ndarray:
@@ -134,7 +134,8 @@ def _covariant_projected(F, direction, Fld: VectorField, p, gamma, part: str) ->
     ``q -> proj_q(Fld(q))``: the one-point case of the oracle."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(direction, dtype=float)
-    st = SampleState(p[None], F.source, F, christoffel=np.asarray(gamma, dtype=float)[None])
+    st = SampleState(p[None], F.source, F)
+    st.christoffel = np.asarray(gamma, dtype=float)[None]
     disp = SampleState(stencil_points(p, u), F.source, F)
     return _projected_derivative(st, disp, u[None], Fld.at(p)[None], Fld.at(disp.points), part)[0]
 
@@ -153,28 +154,26 @@ def _oneill(st: SampleState, kind: str, e, fp, fjac=None) -> np.ndarray:
     if fjac is not None:
         dfield = np.einsum("n...ij,n...j->n...i", fjac, u)
         dvert = dvert + st.vertical_part(dfield)
-    gamma = st.christoffel
-    nabla_vf = dvert + np.einsum("nkij,n...i,n...j->n...k", gamma, u, vfp)
-    nabla_hf = (dfield - dvert) + np.einsum("nkij,n...i,n...j->n...k", gamma, u, hfp)
+    nabla_vf = dvert + st.connection(u, vfp)
+    nabla_hf = (dfield - dvert) + st.connection(u, hfp)
     return st.horizontal_part(nabla_vf) + st.vertical_part(nabla_hf)
 
 
 def _oneill_at(F: SmoothMap, E, Fld, point, kind: str, frame, gamma) -> np.ndarray:
-    p = np.asarray(point, dtype=float)
-    fr = frame if frame is not None else build_frame(F, p)
-    st = SampleState.at_frame(fr, F.source, F, gamma=gamma)
-    # A plain vector is a constant field.
-    fjac = Fld.jacobian_at(p)[None] if isinstance(Fld, VectorField) else None
-    return _oneill(st, kind, _field_value(E, p)[None], _field_value(Fld, p)[None], fjac)[0]
+    st = frame.state if frame is not None else SampleState(np.atleast_2d(point), F.source, F)
+    if gamma is not None:
+        st.christoffel = np.asarray(gamma, dtype=float)[None]
+    return _oneill(st, kind, _field_value(E, point)[None], *field_rows(Fld, point))[0]
 
 
 def tensor_T(F: SmoothMap, E, Fld, point, frame=None, gamma=None) -> np.ndarray:
-    """Fiber-shape tensor: ``H nabla_{VE}(VF) + V nabla_{VE}(HF)`` at ``point``."""
+    """Fiber-shape tensor ``H nabla_{VE}(VF) + V nabla_{VE}(HF)`` at ``point``; a given
+    ``frame`` and symbols ``gamma`` must be those at ``point`` (the frame's state is used)."""
     return _oneill_at(F, E, Fld, point, "T", frame, gamma)
 
 
 def tensor_A(F: SmoothMap, E, Fld, point, frame=None, gamma=None) -> np.ndarray:
-    """Horizontal-twist tensor: ``H nabla_{HE}(VF) + V nabla_{HE}(HF)``."""
+    """Horizontal-twist tensor ``H nabla_{HE}(VF) + V nabla_{HE}(HF)``, as :func:`tensor_T`."""
     return _oneill_at(F, E, Fld, point, "A", frame, gamma)
 
 
@@ -242,14 +241,12 @@ def _sff(st: SampleState, e, fv, fjac=None) -> np.ndarray:
     jac = st.jacobian
     # d_j of the pushed section s^a = jac[a, i] F^i, and nabla_e F
     ds = np.einsum("naij,n...i->n...aj", st.hessian, fv)
-    cov = np.einsum("nkij,n...i,n...j->n...k", st.christoffel, e, fv)
+    cov = st.connection(e, fv)
     if fjac is not None:
         ds = ds + np.einsum("nai,n...ij->n...aj", jac, fjac)
         cov = cov + np.einsum("n...ij,n...j->n...i", fjac, e)
-    term1 = np.einsum("n...aj,n...j->n...a", ds, e) + np.einsum(
-        "nabc,n...b,n...c->n...a", st.target_christoffel, apply(jac, e), apply(jac, fv)
-    )
-    return term1 - apply(jac, cov)
+    pushed = connection(st.target_christoffel, apply(jac, e), apply(jac, fv))
+    return np.einsum("n...aj,n...j->n...a", ds, e) + pushed - apply(jac, cov)
 
 
 def second_fundamental_form(F: SmoothMap, E, Fld, point) -> np.ndarray:
@@ -259,10 +256,8 @@ def second_fundamental_form(F: SmoothMap, E, Fld, point) -> np.ndarray:
     on the first term; everything is assembled from symbolic derivatives of
     the map components, so no finite differencing is involved.
     """
-    p = np.asarray(point, dtype=float)
-    st = SampleState(p[None], F.source, F)
-    fjac = Fld.jacobian_at(p)[None] if isinstance(Fld, VectorField) else None
-    return _sff(st, _field_value(E, p)[None], _field_value(Fld, p)[None], fjac)[0]
+    st = SampleState(np.atleast_2d(point), F.source, F)
+    return _sff(st, _field_value(E, point)[None], *field_rows(Fld, point))[0]
 
 
 def check_sff_vertical(

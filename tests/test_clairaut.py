@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,11 @@ from riemsub.geometry import (
 )
 from riemsub.hermitian import AlmostComplexField
 from riemsub.presets import euclidean_manifold, twisted_phi
+from riemsub.scenario import load_scenario
 from riemsub.submersion import SmoothMap, build_frame
 
 SQ2 = np.sqrt(2.0)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,7 @@ def test_alpha_beta_reconstruction(scenario_ii, samples_ii):
         fr = build_frame(scenario_ii.F, p)
         X = fr.horizontal_part(rng.standard_normal(4))
         X = X - fr.vertical_part(X)
-        split = alpha_beta_split(scenario_ii, p, X, fr)
+        split = alpha_beta_split(scenario_ii, p, X)
         phiX = apply_phi(scenario_ii.J, p, X)
         assert metric_norm(fr.metric, phiX - split.alpha - split.beta) < 1e-10
         assert split.vertical_residual < 1e-10
@@ -213,11 +217,13 @@ def test_invariant_vertical_geodesic_example_i(scenario_i):
 
 def _one_point_series(sc, traj):
     """``sin(theta)`` and ``e^f sin(theta)`` sample by sample, from one-point
-    frames, scalar norms and the expression tree."""
+    frames projected by matrix products, scalar norms and the expression tree."""
     sin_theta, invariant = [], []
     for p, v in zip(traj.points, traj.velocities):
         fr = build_frame(sc.F, p)
-        sin_theta.append(metric_norm(fr.metric, fr.vertical_part(v)) / metric_norm(fr.metric, v))
+        g, V = fr.metric, fr.vertical
+        vertical_part = (V @ (g @ v)) @ V
+        sin_theta.append(metric_norm(g, vertical_part) / metric_norm(g, v))
         invariant.append(np.exp(sc.f.eval(p)) * sin_theta[-1])
     return np.array(sin_theta), np.array(invariant)
 
@@ -265,6 +271,24 @@ def test_geodesic_conditions_horizontal_line_example_i(scenario_i):
     rv, rh = geodesic_condition_residuals(scenario_i, traj, len(traj) // 2)
     assert rv < 1e-12
     assert rh < 1e-12
+
+
+@pytest.mark.parametrize("curve", ["example-ii", "circle", "warped-product"])
+def test_one_window_is_a_row_of_the_stacked_windows(curve, scenario_ii):
+    if curve == "warped-product":
+        sc = load_scenario(os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yaml")).scenario
+        traj = geodesic_integrate(sc.M, (0.1, 0.2, -0.1, 0.3), (0.4, 0.5, 0.3, -0.2), 0.5, 1e-3)
+    elif curve == "circle":
+        sc, traj = scenario_ii, circle_trajectory(scenario_ii.M, n=200, step=1e-3)
+    else:
+        sc = scenario_ii
+        traj = geodesic_integrate(sc.M, (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2), 1.0, 1e-3)
+    idx = interior_indices(traj)
+    windows = curve_windows(sc, traj)
+    assert all(w.shape == (len(idx),) for w in windows)
+    for k, i in enumerate(idx):
+        for got, want in zip(geodesic_condition_residuals(sc, traj, i), windows[:2]):
+            assert abs(got - want[k]) <= 4 * np.finfo(float).eps * max(1.0, abs(want[k]))
 
 
 def test_circle_is_not_a_geodesic(scenario_ii):

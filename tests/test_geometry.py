@@ -5,6 +5,7 @@ from riemsub.expr import parse
 from riemsub.geometry import (
     DomainExitError,
     ExclusionTube,
+    GeometryError,
     ManifoldSpec,
     SingularMetricError,
     VectorField,
@@ -296,3 +297,22 @@ def test_manifold_validate_rejects_asymmetric():
     )
     with pytest.raises(Exception, match="symmetric"):
         M.validate([(0.5, 0.2)])
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0.0, 1.0), (0.0, -1.0), (0.5, 1.0)], "not positive definite at [0.0, -1.0]"),
+        ([(0.0, 1.0), (0.5, 1.0), (0.0, -1.0)], "not symmetric at [0.5, 1.0]"),
+    ],
+)
+def test_manifold_validate_reports_the_first_failing_point(points, message):
+    # Symmetric where x1 = 0, positive definite where also x2 > 0.
+    entries = [["1", "x1"], ["0", "x2"]]
+    M = ManifoldSpec(
+        2, [[parse(s, 2) for s in row] for row in entries], box_domain(2, -1.0, 1.0)
+    )
+    M.validate(points[:1])
+    with pytest.raises(GeometryError) as err:
+        M.validate(points)
+    assert str(err.value) == f"metric {message}"

@@ -229,6 +229,19 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e-13, 0, 0, 0])]),
             "geodesics[0].v0: must be nonzero", id="tiny-v0",
         ),
+        # A speed that overflows leaves no direction either, and no energy.
+        pytest.param(
+            ["geodesic", "--p0=1,0,0,0", "--v0=1e200,0,0,0"], MINIMAL,
+            "--v0: metric speed at p0 must be finite", id="geodesic-overflowing-v0",
+        ),
+        pytest.param(
+            ["geodesic", "--p0=1e308,0,0,0", "--v0=1e308,0,0,0"], MINIMAL,
+            "--v0: metric speed at p0 must be finite", id="geodesic-overflowing-p0-v0",
+        ),
+        pytest.param(
+            ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e200, 0, 0, 0])]),
+            "geodesics[0].v0: metric speed at p0 must be finite", id="overflowing-v0",
+        ),
         # numpy's seed sequence takes nonnegative integers only.
         pytest.param(
             ["check", "--seed", "-1"], MINIMAL,
