@@ -177,7 +177,10 @@ def _run_checks(entries, s: _Run, label=str) -> list:
 def _check_regular_start(M, cfg: GeodesicConfig, path: str) -> None:
     """Reject a trajectory whose metric speed at ``p0`` is not finite or is
     below ``MIN_SPEED``: the angle the Clairaut checks measure along it is
-    undefined."""
+    undefined.  A ``p0`` outside the domain is left to the integrator, which
+    names it."""
+    if not M.domain.contains(cfg.p0):
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         speed = metric_norm(M.metric_at(cfg.p0), np.asarray(cfg.v0, dtype=float))
     if not math.isfinite(speed):
@@ -251,9 +254,16 @@ def _cmd_check(args) -> int:
     report = run_scenario(path, args.seed, args.samples, args.tolerance_scale)
     sys.stdout.write(report.to_json() if args.format == "machine" else report.to_table())
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json())
+        _write_file(args.report, report.to_json(), "--report")
     return EXIT_PASS if report.overall == "pass" else EXIT_FAIL
+
+
+def _write_file(path: str, text: str, option: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioValidationError(f"{option}: cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_tuple(text: str, dim: int, label: str):
@@ -318,8 +328,7 @@ def _cmd_geodesic(args) -> int:
         summary.append(f"left the sampling domain at s={exited.s:g}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text, "--out")
         print("\n".join(summary))
     else:
         sys.stdout.write(text)

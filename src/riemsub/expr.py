@@ -356,9 +356,10 @@ class ExprArray:
     """Nested array of expressions evaluated by one compiled function.
 
     ``eval`` returns a float array of the nesting's shape, equal bit for bit
-    to evaluating each entry with ``Expr.eval``; at a stack of points, an
-    array ``(N, m)``, it returns the values at each point stacked along a
-    leading axis of length ``N``.  The function is generated
+    to evaluating each entry with ``Expr.eval`` at the point, converted to
+    floats; at a stack of points, any 2-D array-like ``(N, m)``, it returns
+    the values at each point stacked along a leading axis of length ``N``.
+    ``diff`` builds the array of partial derivatives.  The function is generated
     at the first evaluation: straight-line Python that computes each
     structurally distinct subexpression once, with the same float operation
     per node.  If it raises, the entries are evaluated again by the per-node
@@ -380,7 +381,8 @@ class ExprArray:
             self._const = const
 
     def eval(self, point) -> np.ndarray:
-        if isinstance(point, np.ndarray) and point.ndim == 2:
+        point = np.asarray(point, dtype=float)
+        if point.ndim == 2:
             shape = (len(point),) + self.shape
             if self._const is not None:
                 out = np.empty(shape)
@@ -390,6 +392,12 @@ class ExprArray:
         if self._const is not None:
             return self._const
         return np.array(self._values(point)).reshape(self.shape)
+
+    def diff(self, dim: int) -> "ExprArray":
+        """Exact partial derivatives of every entry along a new last axis of
+        length ``dim``: entry ``[..., i]`` is ``d/dx_{i+1}`` of entry ``[...]``."""
+        flat = np.array([e.diff(i + 1) for e in self.entries for i in range(dim)], dtype=object)
+        return ExprArray(flat.reshape(self.shape + (dim,)))
 
     def _values(self, point):
         """Entry values at one point; the per-node walk raises the error."""
@@ -469,7 +477,7 @@ def _compile(entries):
 @functools.lru_cache(maxsize=32)
 def partials(e: Expr, dim: int) -> ExprArray:
     """The ``dim`` exact partial derivatives of ``e`` as one array (memoized)."""
-    return ExprArray(tuple(e.diff(i + 1) for i in range(dim)))
+    return ExprArray(e).diff(dim)
 
 
 # ---------------------------------------------------------------------------

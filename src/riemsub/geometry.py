@@ -113,23 +113,17 @@ class ManifoldSpec:
         self.metric = tuple(tuple(row) for row in metric)
         self.domain = domain
         self._metric = ExprArray(self.metric)
-        # derivs[l][i][j] = d/dx_{l+1} of g_ij
-        self._derivs = ExprArray(
-            tuple(
-                tuple(tuple(e.diff(l + 1) for e in row) for row in self.metric)
-                for l in range(dim)
-            )
-        )
+        self._derivs = self._metric.diff(dim)  # [i, j, l] = d g_ij / d x_{l+1}
         self.is_flat_constant = all(is_zero(e) for e in self._derivs.entries)
         # A constant metric is checked for invertibility once (christoffel).
         self._invertible = False
 
     def metric_at(self, point) -> np.ndarray:
-        return self._metric.eval(np.asarray(point, dtype=float))
+        return self._metric.eval(point)
 
     def metric_derivs_at(self, point) -> np.ndarray:
-        """Array ``D[l, i, j] = d g_ij / d x_{l+1}`` at ``point``."""
-        return self._derivs.eval(np.asarray(point, dtype=float))
+        """Array ``D[l, i, j] = d g_ij / d x_{l+1}`` at ``point`` (a view)."""
+        return self._derivs.eval(point).swapaxes(-1, -2).swapaxes(-2, -3)
 
     def inverse_metric_at(self, point) -> np.ndarray:
         g = self.metric_at(point)
@@ -169,8 +163,7 @@ class VectorField:
         self.components = tuple(components)
         self.dim = len(self.components)
         self._values = ExprArray(self.components)
-        # jac[k][i] = d X^{k+1} / d x_{i+1}, built lazily
-        self._jac = None
+        self._jac = self._values.diff(self.dim)
 
     @classmethod
     def constant(cls, values) -> "VectorField":
@@ -186,18 +179,11 @@ class VectorField:
         return cls.constant([1.0 if i == index - 1 else 0.0 for i in range(dim)])
 
     def at(self, point) -> np.ndarray:
-        return self._values.eval(np.asarray(point, dtype=float))
+        return self._values.eval(point)
 
     def jacobian_at(self, point) -> np.ndarray:
         """Array ``J[k, i] = d X^{k+1} / d x_{i+1}`` at ``point``."""
-        if self._jac is None:
-            self._jac = ExprArray(
-                tuple(
-                    tuple(c.diff(i + 1) for i in range(self.dim))
-                    for c in self.components
-                )
-            )
-        return self._jac.eval(np.asarray(point, dtype=float))
+        return self._jac.eval(point)
 
 
 def _field_value(X, point) -> np.ndarray:
@@ -209,9 +195,8 @@ def _field_value(X, point) -> np.ndarray:
 def field_rows(X, point):
     """``X`` at ``point`` as one-row arrays: its value ``(1, m)`` and Jacobian
     ``(1, m, m)``, None for a plain tangent vector (a constant field)."""
-    p = np.asarray(point, dtype=float)
-    jacobian = X.jacobian_at(p)[None] if isinstance(X, VectorField) else None
-    return _field_value(X, p)[None], jacobian
+    jacobian = X.jacobian_at(point)[None] if isinstance(X, VectorField) else None
+    return _field_value(X, point)[None], jacobian
 
 
 def metric_norm(g: np.ndarray, v: np.ndarray) -> float:
@@ -229,9 +214,7 @@ def christoffel(M: ManifoldSpec, point) -> np.ndarray:
             _check_invertible(M.metric_at(p), p)
             M._invertible = True
         return np.zeros(p.shape[:-1] + (M.dim, M.dim, M.dim))
-    g = M.metric_at(p)
-    _check_invertible(g, p)
-    ginv = np.linalg.inv(g)
+    ginv = M.inverse_metric_at(p)
     D = M.metric_derivs_at(p)  # D[l, i, j] = d_l g_ij
     # B[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     B = D + D.swapaxes(-3, -2) - D.swapaxes(-3, -2).swapaxes(-2, -1)
@@ -297,8 +280,7 @@ def covariant_derivative(M: ManifoldSpec, X, Y: VectorField, point) -> np.ndarra
 def gradient(M: ManifoldSpec, f: Expr, point) -> np.ndarray:
     """Metric gradient: components ``g^{kj} d_j f`` at ``point``, or at each
     of a stack of points ``(N, m)``."""
-    p = np.asarray(point, dtype=float)
-    return (M.inverse_metric_at(p) @ partials(f, M.dim).eval(p)[..., None])[..., 0]
+    return (M.inverse_metric_at(point) @ partials(f, M.dim).eval(point)[..., None])[..., 0]
 
 
 @dataclass

@@ -32,20 +32,14 @@ class AlmostComplexField:
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("phi matrix must be square")
         self._matrix = ExprArray(self.entries)
-        # dentries[l][i][j] = d phi^i_j / d x_{l+1}
-        self._dentries = ExprArray(
-            tuple(
-                tuple(tuple(e.diff(l + 1) for e in row) for row in self.entries)
-                for l in range(self.dim)
-            )
-        )
+        self._dentries = self._matrix.diff(self.dim)  # [i, j, l] = d phi^i_j / d x_{l+1}
 
     def matrix_at(self, point) -> np.ndarray:
-        return self._matrix.eval(np.asarray(point, dtype=float))
+        return self._matrix.eval(point)
 
     def derivs_at(self, point) -> np.ndarray:
-        """Array ``D[l, i, j] = d phi^i_j / d x_{l+1}`` at ``point``."""
-        return self._dentries.eval(np.asarray(point, dtype=float))
+        """Array ``D[l, i, j] = d phi^i_j / d x_{l+1}`` at ``point`` (a view)."""
+        return self._dentries.eval(point).swapaxes(-1, -2).swapaxes(-2, -3)
 
 
 def apply_phi(J: AlmostComplexField, point, v) -> np.ndarray:

@@ -173,9 +173,12 @@ def load_scenario(path) -> ScenarioBundle:
     """Load and validate a scenario file into a ready-to-run bundle."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        # From bytes, so that invalid UTF-8 is a YAML reader error.
+        raw = yaml.safe_load(path.read_bytes())
     except FileNotFoundError:
         raise ScenarioValidationError(f"scenario file not found: {path}") from None
+    except OSError as exc:
+        raise ScenarioValidationError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ScenarioValidationError(f"{path}: not valid YAML: {exc}") from None
     return build_scenario(raw, str(path))

@@ -63,31 +63,20 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.components = tuple(components)
-        m = source.dim
         self._values = ExprArray(self.components)
-        self._jac = tuple(
-            tuple(c.diff(i + 1) for i in range(m)) for c in self.components
-        )
-        self._jac_values = ExprArray(self._jac)
-        self._hess = None  # built lazily; [a][i][j] = d_j d_i comp_a
+        self._jac = self._values.diff(source.dim)
+        self._hess = self._jac.diff(source.dim)
 
     def map_point(self, point) -> np.ndarray:
-        return self._values.eval(np.asarray(point, dtype=float))
+        return self._values.eval(point)
 
     def jacobian_at(self, point) -> np.ndarray:
-        return self._jac_values.eval(np.asarray(point, dtype=float))
+        """Array ``J[a, i] = d_i (component a)`` at ``point``."""
+        return self._jac.eval(point)
 
     def jacobian_derivs_at(self, point) -> np.ndarray:
         """Array ``H[a, i, j] = d_j d_i (component a)`` at ``point``."""
-        if self._hess is None:
-            m = self.source.dim
-            self._hess = ExprArray(
-                tuple(
-                    tuple(tuple(e.diff(j + 1) for j in range(m)) for e in row)
-                    for row in self._jac
-                )
-            )
-        return self._hess.eval(np.asarray(point, dtype=float))
+        return self._hess.eval(point)
 
 
 def build_frame(F: SmoothMap, point) -> Frame:

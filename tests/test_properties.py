@@ -14,6 +14,8 @@ displaced points) is the reference for the analytic ``tensor_T`` /
 ``tensor_A``.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,12 +31,13 @@ from riemsub.expr import (
     differentiate,
     fd_derivative,
     parse,
+    partials,
 )
 from riemsub.cli import run_scenario
-from riemsub.geometry import VectorField, christoffel
+from riemsub.geometry import VectorField, christoffel, sample_points
 from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
 from riemsub.presets import canonical_phi
-from riemsub.scenario import resolve_scenario_path
+from riemsub.scenario import load_scenario, resolve_scenario_path
 from riemsub.state import SampleState
 from riemsub.submersion import (
     _covariant_projected,
@@ -106,6 +109,9 @@ def test_compiled_matches_tree_walk_bit_for_bit(e, p):
     entries = (e,) + tuple(e.diff(i) for i in (1, 2, 3))
     reference = _outcome(lambda: [x.eval(p) for x in entries])
     assert _outcome(lambda: ExprArray(entries).eval(p)) == reference
+    # The derivative builder: the same trees along a new last axis.
+    reference = _outcome(lambda: [x.eval(p) for x in entries[1:]])
+    assert _outcome(lambda: ExprArray((e,)).diff(3).eval(p)) == reference
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,6 +213,31 @@ def test_compiled_keeps_operations_on_equal_operands_apart():
     entries = tuple(parse(t, 2) for t in texts)
     p = (0.7, 1.9)
     assert ExprArray(entries).eval(p).tolist() == [e.eval(p) for e in entries]
+
+
+def test_derivative_accessors_match_tree_walk_bit_for_bit():
+    # Each accessor at a seeded stack of 5 points against the walk of the
+    # derivative tree its documented layout names, entry by entry.
+    warped = load_scenario(Path(__file__).parents[1] / "perfbench/scenarios/warped-product.yaml").scenario
+    ex2 = load_scenario(resolve_scenario_path("example-ii")).scenario
+    Pw = sample_points(warped.M.domain, 5, seed=11)
+    P = sample_points(ex2.M.domain, 5, seed=11)
+    X = VectorField.from_strings(["x2 * x3", "sin(x1) * x4", "exp(x4)", "sqrt(x1^2 + x2^2)"], 4)
+    cases = [
+        (warped.M.metric_derivs_at(Pw), Pw, lambda l, i, j: warped.M.metric[i][j].diff(l + 1)),
+        (warped.J.derivs_at(Pw), Pw, lambda l, i, j: warped.J.entries[i][j].diff(l + 1)),
+        (ex2.F.jacobian_at(P), P, lambda a, i: ex2.F.components[a].diff(i + 1)),
+        (ex2.F.jacobian_derivs_at(P), P,
+         lambda a, i, j: ex2.F.components[a].diff(i + 1).diff(j + 1)),
+        (X.jacobian_at(P), P, lambda k, i: X.components[k].diff(i + 1)),
+        (partials(ex2.f, 4).eval(P), P, lambda i: ex2.f.diff(i + 1)),
+    ]
+    for values, points, entry in cases:
+        walk = [[entry(*idx).eval(p) for idx in np.ndindex(values.shape[1:])] for p in points]
+        assert values.shape[0] == len(points)
+        assert values.tobytes() == np.array(walk).tobytes()
+    # A nested list is a stack of points too.
+    assert partials(ex2.f, 4).eval(P.tolist()).tobytes() == partials(ex2.f, 4).eval(P).tobytes()
 
 
 def test_constant_array_is_stored_read_only():

@@ -35,6 +35,11 @@ MINIMAL = {
     "sampling": {"count": 10, "seed": 1},
 }
 
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+_WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yaml")
+with open(_WARPED_FILE) as _fh:
+    _WARPED = yaml.safe_load(_fh)
+
 
 def _write(tmp_path, doc, name="scenario.yaml"):
     path = tmp_path / name
@@ -234,9 +239,14 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["geodesic", "--p0=1,0,0,0", "--v0=1e200,0,0,0"], MINIMAL,
             "--v0: metric speed at p0 must be finite", id="geodesic-overflowing-v0",
         ),
+        # A start outside the domain is named as such, whatever its speed.
         pytest.param(
             ["geodesic", "--p0=1e308,0,0,0", "--v0=1e308,0,0,0"], MINIMAL,
-            "--v0: metric speed at p0 must be finite", id="geodesic-overflowing-p0-v0",
+            "outside sampling domain", id="geodesic-overflowing-p0-v0",
+        ),
+        pytest.param(
+            ["geodesic", "--p0=1e308,0,0,0", "--v0=1,0,0,0"], _WARPED,
+            "outside sampling domain", id="geodesic-far-p0-overflowing-metric",
         ),
         pytest.param(
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e200, 0, 0, 0])]),
@@ -260,20 +270,58 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
             ["check"], _with(MINIMAL, sampling={"count": 10**20}),
             "sampling.count: must be between 1 and 100000", id="sampling-count-over-cap",
         ),
+        # Output files under a directory that does not exist ({missing}).
+        pytest.param(
+            ["check", "--report", "{missing}/r.json"], MINIMAL,
+            "--report: cannot write", id="unwritable-report",
+        ),
+        pytest.param(
+            ["geodesic", "--out", "{missing}/g.csv"], _with(MINIMAL, geodesics=[_GEODESIC]),
+            "--out: cannot write", id="unwritable-out",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = [command[0], str(_write(tmp_path, doc))] + command[1:]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from riemsub.cli import main; sys.exit(main())", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    missing = str(tmp_path / "missing")
+    argv = [command[0], str(_write(tmp_path, doc))] + [a.replace("{missing}", missing) for a in command[1:]]
+    proc = _run_cli(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+def _run_cli(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from riemsub.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_unreadable_scenario_exits_2_without_traceback(tmp_path):
+    undecodable = tmp_path / "latin1.yaml"
+    undecodable.write_bytes(yaml.safe_dump(MINIMAL).replace("mini", "mini\xe9").encode("latin-1"))
+    for path in (tmp_path, undecodable):
+        proc = _run_cli(["check", str(path)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0]
+
+
+def test_far_start_fails_integration_not_input(tmp_path):
+    # The metric overflows at this p0, outside the domain; the verdict names
+    # the domain, as it does for a start just outside it.
+    far = dict(_WARPED["geodesics"][0], p0=[1.0e308, 0.2, -0.1, 0.3])
+    path = _write(tmp_path, _with(_WARPED, geodesics=[far]))
+    report = run_scenario(path, samples=5)
+    failed = [c for c in report.checks if c.name.startswith("geodesic-")]
+    assert [c.name for c in failed] == ["geodesic-0-integration"]
+    assert failed[0].verdict == "fail"
+    assert "outside sampling domain" in failed[0].details["error"]
+    assert main(["check", str(path), "--samples", "5"]) == 1
 
 
 _OUTSIDE = "scenario is outside the anti-invariant nearly-parallel setting"
@@ -385,9 +433,6 @@ def test_step_count_over_the_cap_fails_integration(tmp_path, monkeypatch):
     assert checks["geodesic-0-integration"].verdict == "fail"
     assert "500 steps, more than 100" in checks["geodesic-0-integration"].details["error"]
 
-
-_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-_WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yaml")
 
 
 @pytest.mark.parametrize(
