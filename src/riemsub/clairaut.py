@@ -438,9 +438,7 @@ def check_dichotomies(
         "lagrangian": sc.mu_dim == 0,
     }
     if sc.mu_dim == 0:
-        details["lagrangian_dichotomy_residual"] = min(
-            0.0 if one_dimensional else geo_res, geo_res
-        )
+        details["lagrangian_dichotomy_residual"] = branch_fibers
     report = CheckReport.from_residual(
         "dichotomies", "th3", len(st.points), residual, tolerance, details
     )

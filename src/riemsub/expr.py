@@ -2,8 +2,9 @@
 
 Expressions are immutable trees over constants, coordinate variables
 ``x1..xm``, the unary functions ``sqrt, ln, exp, sin, cos``, negation, the
-four arithmetic operators, and ``^`` with a constant exponent.  They can be
-parsed from strings, evaluated at points, differentiated exactly, and
+four arithmetic operators, and ``^`` with a constant exponent.  They are
+built by :func:`parse` or the node classes alone (:class:`Expr` overloads
+no Python operator), evaluated at points, differentiated exactly, and
 printed back to a re-parseable form.  Every geometric object in this
 package (metrics, complex structures, maps, Clairaut exponents) is a tree
 or an array of trees; an :class:`ExprArray` evaluates such an array through
@@ -51,14 +52,6 @@ def _literal(value: float) -> str:
     return repr(value)
 
 
-def _as_expr(value) -> "Expr":
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot convert {value!r} to an expression")
-
-
 class Expr:
     """Immutable expression tree node."""
 
@@ -76,32 +69,6 @@ class Expr:
 
     def _prec(self) -> int:
         return _P_ATOM
-
-    # Arithmetic sugar used when building derived fields (e.g. matrix
-    # products of expression matrices).
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __neg__(self):
-        return Neg(self)
 
 
 class Const(Expr):

@@ -13,21 +13,6 @@ from .expr import Const, parse
 from .geometry import ManifoldSpec, SamplingDomain, box_domain
 
 
-def _matmul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = A[i][k] * B[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def euclidean_metric(dim: int):
     return [
         [Const(1.0) if i == j else Const(0.0) for j in range(dim)] for i in range(dim)
@@ -65,22 +50,19 @@ def canonical_phi():
 
 
 def twisted_phi():
-    """Canonical structure conjugated by an x1-dependent (e2, e3) rotation.
+    """R phi R^T written out: :func:`canonical_phi` conjugated by the
+    rotation R of the (e2, e3) plane by the angle x1.
 
     Still orthogonal and squaring to -I, but not parallel, so it fails the
     symmetrized-derivative test at generic points (negative fixture).
     """
-    c = parse("cos(x1)", 4)
-    s = parse("sin(x1)", 4)
-    one, zero = Const(1.0), Const(0.0)
-    R = [
-        [one, zero, zero, zero],
-        [zero, c, -s, zero],
-        [zero, s, c, zero],
-        [zero, zero, zero, one],
+    rows = [
+        ["0", "cos(x1)", "sin(x1)", "0"],
+        ["-cos(x1)", "0", "0", "-sin(x1)"],
+        ["-sin(x1)", "0", "0", "cos(x1)"],
+        ["0", "sin(x1)", "-cos(x1)", "0"],
     ]
-    Rt = [[R[j][i] for j in range(4)] for i in range(4)]
-    return _matmul(_matmul(R, canonical_phi()), Rt)
+    return [[parse(s, 4) for s in row] for row in rows]
 
 
 def map_example_i_components():

@@ -42,7 +42,6 @@ class GeodesicConfig:
 class ScenarioBundle:
     scenario: ClairautScenario
     geodesics: tuple
-    path: str
 
 
 def _err(path: str, message: str):
@@ -169,6 +168,16 @@ def _load_map(raw, source: ManifoldSpec, target: ManifoldSpec, path: str) -> Smo
     return SmoothMap(source, target, tuple(components))
 
 
+def _yaml_error(exc: yaml.YAMLError) -> str:
+    """Where and what of a YAML error, on one line instead of PyYAML's several."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        return f"at offset {exc.position}: {exc.reason} (#x{exc.character:02x})"
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return f"at line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+    return ": " + " ".join(str(exc).split())
+
+
 def load_scenario(path) -> ScenarioBundle:
     """Load and validate a scenario file into a ready-to-run bundle."""
     path = Path(path)
@@ -180,7 +189,7 @@ def load_scenario(path) -> ScenarioBundle:
     except OSError as exc:
         raise ScenarioValidationError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
-        raise ScenarioValidationError(f"{path}: not valid YAML: {exc}") from None
+        raise ScenarioValidationError(f"{path}: not valid YAML {_yaml_error(exc)}") from None
     return build_scenario(raw, str(path))
 
 
@@ -254,7 +263,7 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
     scenario = ClairautScenario(
         name=name, J=phi, F=smap, f=f, tolerances=tolerances, sampling=sampling
     )
-    return ScenarioBundle(scenario=scenario, geodesics=tuple(geodesics), path=origin)
+    return ScenarioBundle(scenario=scenario, geodesics=tuple(geodesics))
 
 
 def bundled_scenario_names() -> list:

@@ -278,8 +278,6 @@ def fiber_character(
     umbilicity, with the totally-geodesic flag in the details.
     """
     k = F.source.dim - F.target.dim
-    if k == 0:
-        raise SubmersionError("map has zero-dimensional fibers")
     st = sample_state(samples, F.source, F)
     e, fv = pairs(st.vertical)
     T = _oneill(st, "T", e, fv)  # T[n, j, l] = T_{V_j} V_l

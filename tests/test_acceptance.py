@@ -344,3 +344,28 @@ def test_report_shape(report_i, report_ii, tmp_path):
     assert warped.overall == "fail"
     reasons = {c.details["reason"] for c in warped.checks if c.verdict == "skip"}
     assert reasons == {"scenario is outside the anti-invariant nearly-parallel setting"}
+
+    # The curved pair on H^2 x H^2: in the setting, with non-zero Christoffel
+    # symbols; the wrong sign of f fails Bishop's criterion and the invariant.
+    passing = _passing_shape(60, [1001] * 2)
+    curved = run_scenario(resolve_scenario_path("h2xh2"))
+    assert curved.scenario == "h2xh2" and curved.sample_count == 60
+    assert _shape(curved) == passing
+    assert curved.overall == "pass"
+
+    control = run_scenario(resolve_scenario_path("h2xh2-wrong-exponent"))
+    assert control.scenario == "h2xh2-wrong-exponent" and control.sample_count == 60
+    changed = {
+        "bishop-clairaut": ("fail", 60),
+        "aq-gradient-identity": ("skip", 0),
+        "dichotomies": ("skip", 0),
+        "geodesic-0-invariant": ("fail", 1001),
+        "geodesic-0-clairaut-condition": ("skip", 0),
+        "geodesic-1-invariant": ("fail", 1001),
+        "geodesic-1-clairaut-condition": ("skip", 0),
+    }
+    expected = [(name, ref, *changed.get(name, (v, n))) for name, ref, v, n in passing]
+    assert _shape(control) == expected
+    assert control.overall == "fail"
+    reasons = {c.details["reason"] for c in control.checks if c.verdict == "skip"}
+    assert reasons == {"umbilicity criterion failed"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riemsub.expr import parse
+from riemsub.expr import Const, Mul, parse
 from riemsub.geometry import (
     DomainExitError,
     ExclusionTube,
@@ -131,7 +131,7 @@ def test_covariant_derivative_tensorial_in_direction(conformal):
     for _ in range(20):
         p = rng.uniform(-1.0, 1.0, size=2)
         a = rng.uniform(-2.0, 2.0)
-        scaled = VectorField((X.components[0] * a, X.components[1] * a))
+        scaled = VectorField(tuple(Mul(c, Const(a)) for c in X.components))
         lhs = covariant_derivative(conformal, scaled, Y, p)
         rhs = a * covariant_derivative(conformal, X, Y, p)
         assert abs(lhs - rhs).max() < 1e-12

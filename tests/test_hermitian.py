@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,23 @@ def test_square_is_minus_identity(canonical, twisted, samples):
         for p in samples[:20]:
             v = rng.standard_normal(4)
             assert apply_phi(J, p, apply_phi(J, p, v)) == pytest.approx(-v, abs=1e-12)
+
+
+def test_twisted_is_canonical_conjugated_by_rotation(canonical, twisted):
+    # twisted-phi is R C R^T, C the canonical structure and R the rotation
+    # of the (e2, e3) plane by x1; its only non-zero derivative is along x1,
+    # R' C R^T + R C R'^T.  Each entry has at most one non-zero term, +-cos
+    # or +-sin of x1, so the comparison is exact.
+    C = canonical.matrix_at((0.0, 0.0, 0.0, 0.0))
+    points = np.random.default_rng(11).uniform(-4.0, 4.0, size=(50, 4))
+    for p in points:
+        c, s = math.cos(p[0]), math.sin(p[0])
+        R = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+        dR = np.array([[0, 0, 0, 0], [0, -s, -c, 0], [0, c, -s, 0], [0, 0, 0, 0]])
+        assert np.array_equal(twisted.matrix_at(p), R @ C @ R.T)
+        expected = np.zeros((4, 4, 4))
+        expected[0] = dR @ C @ R.T + R @ C @ dR.T
+        assert np.array_equal(twisted.derivs_at(p), expected)
 
 
 def test_example_i_kernel_image(canonical):

@@ -51,6 +51,8 @@ def test_bundled_scenarios_present():
     names = bundled_scenario_names()
     assert "example-i" in names
     assert "example-ii" in names
+    assert "h2xh2" in names
+    assert "h2xh2-wrong-exponent" in names
 
 
 def test_load_bundled_example_ii():
@@ -303,12 +305,19 @@ def _run_cli(argv):
 def test_unreadable_scenario_exits_2_without_traceback(tmp_path):
     undecodable = tmp_path / "latin1.yaml"
     undecodable.write_bytes(yaml.safe_dump(MINIMAL).replace("mini", "mini\xe9").encode("latin-1"))
-    for path in (tmp_path, undecodable):
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("name: [unclosed\nsource: 1\n")
+    cases = [
+        (tmp_path, "cannot read scenario file"),
+        (undecodable, "not valid YAML at offset 48: invalid continuation byte"),
+        (malformed, "not valid YAML at line 2, column 7: expected ',' or ']'"),
+    ]
+    for path, message in cases:
         proc = _run_cli(["check", str(path)])
         assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and str(path) in errors[0]
+        # One line: no traceback and no YAML mark snippet.
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and str(path) in line and message in line
 
 
 def test_far_start_fails_integration_not_input(tmp_path):
