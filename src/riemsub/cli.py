@@ -44,12 +44,14 @@ from .clairaut import (
 )
 from .expr import ExprError
 from .geometry import (
+    MAX_STEPS,
     DomainExitError,
     GeodesicTrajectory,
     GeometryError,
     geodesic_integrate,
     metric_norm,
     sample_points,
+    step_count,
 )
 from .hermitian import check_nearly_kaehler, check_structure
 from .presets import PRESETS
@@ -191,6 +193,50 @@ def _check_regular_start(M, cfg: GeodesicConfig, path: str) -> None:
         )
 
 
+def _geodesic_stacks(geodesics) -> list:
+    """Indices of the geodesics in runs of consecutive equal ``step``, each
+    integrated as one stack; a run is split so that a stack holds at most
+    ``MAX_STEPS + 1`` samples."""
+    stacks, held = [], 0
+    for i, cfg in enumerate(geodesics):
+        try:
+            size = step_count(cfg.length, cfg.step) + 1
+        except ValueError:
+            size = 0  # the row fails before it holds a sample
+        if stacks and cfg.step == geodesics[stacks[-1][-1]].step and held + size <= MAX_STEPS + 1:
+            stacks[-1].append(i)
+            held += size
+        else:
+            stacks.append([i])
+            held = size
+    return stacks
+
+
+def _integrate(M, cfgs) -> list:
+    """Each geodesic's trajectory, or the error that stands in for it:
+    one stacked ``geodesic_integrate`` call for geodesics of one step."""
+    return geodesic_integrate(M, [c.p0 for c in cfgs], [c.v0 for c in cfgs], [c.length for c in cfgs], cfgs[0].step)
+
+
+def _curve_checks(run: _Run, i: int, result) -> list:
+    """The ``geodesic-<i>-`` reports of one integration ``result``: a
+    trajectory, or the error that stood in for it."""
+    if isinstance(result, Exception):
+        # No curve to check: one failed entry stands for its checks.
+        return [CheckReport(
+            f"geodesic-{i}-integration", "-", 0, float("inf"), 0.0, FAIL, {"error": str(result)}
+        )]
+    if len(result) < 5:
+        raise ScenarioValidationError(
+            f"geodesics[{i}]: {len(result)} samples, the curve checks need "
+            "at least 5 (length / step >= 4)"
+        )
+    curve = replace(run, done=dict(run.done), traj=result, indices=interior_indices(result))
+    label = f"geodesic-{i}-"
+    per_curve = [e for e in CHECKS if e[0].startswith("geodesic-")]
+    return _run_checks(per_curve, curve, lambda name: name.replace("geodesic-", label, 1))
+
+
 def run_scenario(
     path,
     seed: int | None = None,
@@ -220,24 +266,16 @@ def run_scenario(
 
     run = _Run(sc, tol, rngs, SampleState(pts, sc.M, sc.F, sc.J, sc.f), {})
     checks = _run_checks([e for e in CHECKS if not e[0].startswith("geodesic-")], run)
-    per_curve = [e for e in CHECKS if e[0].startswith("geodesic-")]
-    for i, cfg in enumerate(bundle.geodesics):
+    for stack in _geodesic_stacks(bundle.geodesics):
+        cfgs = [bundle.geodesics[i] for i in stack]
         try:
-            traj = geodesic_integrate(sc.M, cfg.p0, cfg.v0, cfg.length, cfg.step)
-        except (DomainExitError, ValueError) as exc:
-            # No curve to check: one failed entry stands for its checks.
-            checks.append(CheckReport(
-                f"geodesic-{i}-integration", "-", 0, float("inf"), 0.0, FAIL, {"error": str(exc)}
-            ))
-            continue
-        if len(traj) < 5:
-            raise ScenarioValidationError(
-                f"geodesics[{i}]: {len(traj)} samples, the curve checks need "
-                "at least 5 (length / step >= 4)"
-            )
-        curve = replace(run, done=dict(run.done), traj=traj, indices=interior_indices(traj))
-        label = f"geodesic-{i}-"
-        checks += _run_checks(per_curve, curve, lambda name: name.replace("geodesic-", label, 1))
+            results = _integrate(sc.M, cfgs)
+        except (ExprError, GeometryError):
+            # Integrate one curve, then check it, so the first error is the
+            # one curve-by-curve order raises.
+            results = [None] * len(cfgs)
+        for i, cfg, result in zip(stack, cfgs, results):
+            checks += _curve_checks(run, i, _integrate(sc.M, [cfg])[0] if result is None else result)
 
     return ReportDocument(
         scenario=sc.name,

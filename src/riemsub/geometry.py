@@ -309,17 +309,11 @@ class GeodesicTrajectory:
         return cls(s, points, velocities, float(step), energies, drift)
 
 
-def geodesic_integrate(
-    M: ManifoldSpec, p0, v0, length: float, step: float
-) -> GeodesicTrajectory:
-    """Classical fixed-step RK4 solution of the geodesic equation, as the
-    first-order system ``y = (x, v)``, ``y' = (v, -Gamma(x)(v, v))``.
-
-    Integrates ``round(length / step)`` steps of exactly ``step``, at most
-    ``MAX_STEPS`` (more raise :class:`ValueError`).  Raises
-    :class:`DomainExitError` (carrying the partial trajectory) if the curve
-    leaves the sampling domain.
-    """
+def step_count(length: float, step: float) -> int:
+    """Number of RK4 steps of exactly ``step`` that integrate ``length``:
+    ``round(length / step)``.  Raises :class:`ValueError` for a step that is
+    not positive, a negative length, a count that is not finite or one over
+    ``MAX_STEPS``."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     if length < 0.0:
@@ -329,33 +323,93 @@ def geodesic_integrate(
     n_steps = max(int(round(length / step)), 0)
     if n_steps > MAX_STEPS:
         raise ValueError(f"length {length} and step {step} give {n_steps} steps, more than {MAX_STEPS}")
+    return n_steps
+
+
+def _rate(M: ManifoldSpec, z: np.ndarray) -> np.ndarray:
+    """``(v, -Gamma(x)(v, v))`` for states ``z = (x, v)``, one ``(2m,)`` or
+    stacked ``(T, 2m)``."""
     m = M.dim
-    y = np.concatenate([p0, v0], dtype=float)
-    if not M.domain.contains(y[:m]):
-        raise ValueError(f"initial point {y[:m].tolist()} outside sampling domain")
+    v = z[..., m:]
+    accel = np.einsum("...kij,...i,...j->...k", christoffel(M, z[..., :m]), v, v)
+    return np.concatenate([v, -accel], axis=-1)
 
-    def rate(z):
-        v = z[m:]
-        return np.concatenate([v, -np.einsum("kij,i,j->k", christoffel(M, z[:m]), v, v)])
 
-    # Row k holds sample k: its point, then its velocity.
-    samples = np.empty((n_steps + 1, 2 * m))
-    samples[0] = y
-    n = n_steps + 1
-    for k in range(n_steps):
-        k1 = rate(y)
-        k2 = rate(y + 0.5 * step * k1)
-        k3 = rate(y + 0.5 * step * k2)
-        k4 = rate(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not M.domain.contains(y[:m]):
-            n = k + 1
-            break
-        samples[k + 1] = y
-    traj = GeodesicTrajectory.from_samples(M, step * np.arange(n), samples[:n, :m], samples[:n, m:], step)
-    if n <= n_steps:
-        raise DomainExitError(traj, y[:m], n * step)
-    return traj
+def _rk4_step(M: ManifoldSpec, y: np.ndarray, step: float) -> np.ndarray:
+    k1 = _rate(M, y)
+    k2 = _rate(M, y + 0.5 * step * k1)
+    k3 = _rate(M, y + 0.5 * step * k2)
+    k4 = _rate(M, y + step * k3)
+    return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
+    """Classical fixed-step RK4 solution of the geodesic equation, as the
+    first-order system ``y = (x, v)``, ``y' = (v, -Gamma(x)(v, v))``.
+
+    Integrates ``step_count(length, step)`` steps of exactly ``step`` (over
+    ``MAX_STEPS`` raise :class:`ValueError`).  Raises
+    :class:`DomainExitError` (carrying the partial trajectory) if the curve
+    leaves the sampling domain.
+
+    Like :func:`christoffel`, it takes one start ``(m,)`` or a stack
+    ``(T, m)``, with ``length`` a scalar or one per row.  A stack returns a
+    list with, per row, its trajectory or the :class:`DomainExitError` or
+    :class:`ValueError` that row raises alone.  The live rows advance as
+    one RK4 over ``(T, 2m)``, every row bit for bit its one-row
+    integration; a row leaves the stack when it finishes or exits, and one
+    live row steps as ``(2m,)``.  An error in the metric (an
+    :class:`ExprError`, a :class:`SingularMetricError`) ends the whole call.
+    """
+    starts = np.concatenate([p0, v0], axis=-1, dtype=float)
+    stacked = starts.ndim == 2
+    starts = np.atleast_2d(starts)
+    m = M.dim
+    results = [None] * len(starts)
+    # Row r's samples: sample k is its point, then its velocity.
+    samples = {}
+    for r, (y0, row_length) in enumerate(zip(starts, np.broadcast_to(length, len(starts)).tolist())):
+        try:
+            n_steps = step_count(row_length, step)
+            if not M.domain.contains(y0[:m]):
+                raise ValueError(f"initial point {y0[:m].tolist()} outside sampling domain")
+        except ValueError as exc:
+            results[r] = exc
+            continue
+        samples[r] = np.empty((n_steps + 1, 2 * m))
+        samples[r][0] = y0
+
+    def trajectory(r, n):
+        rows = samples.pop(r)[:n]
+        return GeodesicTrajectory.from_samples(M, step * np.arange(n), rows[:, :m], rows[:, m:], step)
+
+    for r in [r for r in samples if len(samples[r]) == 1]:
+        results[r] = trajectory(r, 1)
+    live = list(samples)
+    y = starts[live]
+    k = 0  # steps taken by every live row
+    while live:
+        y = _rk4_step(M, y, step) if len(live) > 1 else _rk4_step(M, y[0], step)[None]
+        k += 1
+        keep = []
+        for j, r in enumerate(live):
+            row = y[j]
+            if not M.domain.contains(row[:m]):
+                results[r] = DomainExitError(trajectory(r, k), row[:m], k * step)
+                continue
+            rows = samples[r]
+            rows[k] = row
+            if k + 1 < len(rows):
+                keep.append(j)
+            else:
+                results[r] = trajectory(r, k + 1)
+        if len(keep) < len(live):
+            live, y = [live[j] for j in keep], y[keep]
+    if stacked:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def sample_points(domain: SamplingDomain, count: int, seed) -> np.ndarray:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riemsub import geometry
 from riemsub.expr import Const, Mul, parse
 from riemsub.geometry import (
     DomainExitError,
@@ -18,6 +21,7 @@ from riemsub.geometry import (
     sample_points,
 )
 from riemsub.presets import conformal_r2, euclidean_manifold
+from riemsub.scenario import load_scenario, resolve_scenario_path
 
 from conftest import build_scenario_ii, build_warped_map
 
@@ -262,6 +266,75 @@ def test_domain_exit_matches_reference_rk4_bit_for_bit():
     assert err.value.exit_point.tobytes() == exit_point.tobytes()
     assert err.value.s == s
     _assert_energies_match_per_sample(M, partial)
+
+
+# Per manifold: the box, a start that leaves it within 50 steps of 0.01 and
+# a start outside it.
+_STACK_CASES = {
+    "example-ii": (build_scenario_ii().M, ((3.9, 0.2, 0.1, -0.2), (1.0, 0.8, 0.3, 0.2)), (0.05, 0.0, 0.0, 0.0)),
+    "warped": (build_warped_map().source, ((1.4, 0.1, -0.3, 0.4), (1.0, 0.5, -0.2, 0.4)), (1.6, 0.0, 0.0, 0.0)),
+}
+_unit = st.floats(-1.0, 1.0)
+_random_rows = st.lists(
+    st.tuples(st.tuples(*[_unit] * 4), st.tuples(*[_unit] * 4), st.integers(0, 40)), min_size=1, max_size=4
+)
+
+
+def _integrate_one(M, p0, v0, length, step):
+    try:
+        return geodesic_integrate(M, p0, v0, length, step)
+    except (DomainExitError, ValueError) as exc:
+        return exc
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_STACK_CASES)), _random_rows, st.randoms(use_true_random=False))
+def test_stacked_rows_match_one_row_and_reference_rk4_bit_for_bit(manifold, random_rows, rnd):
+    M, exiting, outside = _STACK_CASES[manifold]
+    step = 0.01
+    half = 0.5 * (M.domain.intervals[0][1] - M.domain.intervals[0][0])
+    # Random starts inside the box (some land in example-ii's tube), unequal
+    # lengths, then a curve that exits, a start outside and a row over the cap.
+    rows = [(half * np.array(p), np.array(v), n * step) for p, v, n in random_rows]
+    rows += [(*map(np.array, exiting), 0.5), (np.array(outside), np.ones(4), 0.2)]
+    rows.append((np.zeros(4), np.ones(4), 2 * geometry.MAX_STEPS * step))
+    rnd.shuffle(rows)
+    p0, v0, lengths = (np.array(c) for c in zip(*rows))
+    results = geodesic_integrate(M, p0, v0, lengths, step)
+    assert len(results) == len(rows)
+    kinds = set()
+    for (p, v, length), got in zip(rows, results):
+        one = _integrate_one(M, p, v, length, step)
+        assert type(got) is type(one)
+        kinds.add(type(got))
+        if isinstance(got, ValueError):
+            assert str(got) == str(one)
+            continue
+        points, velocities, exit_point, s = _reference_rk4(M, p, v, int(round(length / step)), step)
+        if isinstance(got, DomainExitError):
+            assert str(got) == str(one)
+            assert got.exit_point.tobytes() == one.exit_point.tobytes() == exit_point.tobytes()
+            assert got.s == one.s == s
+            got, one = got.trajectory, one.trajectory
+        else:
+            assert exit_point is None
+        assert got.points.tobytes() == one.points.tobytes() == points.tobytes()
+        assert got.velocities.tobytes() == one.velocities.tobytes() == velocities.tobytes()
+        assert got.s.tobytes() == one.s.tobytes() == (step * np.arange(len(points))).tobytes()
+        assert got.energies.tobytes() == one.energies.tobytes()
+    assert {DomainExitError, ValueError} <= kinds
+
+
+def test_stacked_metric_error_ends_the_call():
+    # (1, 1e150, 1, 1) leaves x2 at 5e146 in the second RK4 stage, where
+    # the metric 1/x2^2 is singular; the stack raises what the row raises.
+    M = load_scenario(resolve_scenario_path("h2xh2")).scenario.M
+    p0, v0 = (0.0, 1.0, 0.0, 1.0), (1.0, 1e150, 1.0, 1.0)
+    with pytest.raises(SingularMetricError) as one:
+        geodesic_integrate(M, p0, v0, 1.0, 1e-3)
+    with pytest.raises(SingularMetricError) as stacked:
+        geodesic_integrate(M, [p0, p0], [(0.3, 0.2, 0.1, 0.1), v0], 1.0, 1e-3)
+    assert str(stacked.value) == str(one.value)
 
 
 def test_exclusion_tube_sampling():

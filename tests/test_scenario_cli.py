@@ -444,6 +444,119 @@ def test_step_count_over_the_cap_fails_integration(tmp_path, monkeypatch):
 
 
 
+_MIXED = os.path.join(_ROOT, "tests", "fixtures", "mixed-geodesics.yaml")
+
+
+def _record_integrations(monkeypatch, events):
+    """Log each stacked ``geodesic_integrate`` call of ``run_scenario`` as
+    ``("integrate", start points, samples held)`` and each invariant check
+    as ``("check", start point)``."""
+    integrate, invariant = cli.geodesic_integrate, cli.clairaut_invariant
+
+    def logged_integrate(M, p0, v0, length, step):
+        results = integrate(M, p0, v0, length, step)
+        held = sum(len(r.trajectory if isinstance(r, geometry.DomainExitError) else r)
+                   for r in results if not isinstance(r, ValueError))
+        events.append(("integrate", [tuple(p) for p in p0], held))
+        return results
+
+    def logged_invariant(sc, traj):
+        events.append(("check", tuple(traj.points[0])))
+        return invariant(sc, traj)
+
+    monkeypatch.setattr(cli, "geodesic_integrate", logged_integrate)
+    monkeypatch.setattr(cli, "clairaut_invariant", logged_invariant)
+
+
+def test_stacked_geodesics_report_as_curve_by_curve(monkeypatch):
+    # Steps 0.001, 0.001, 0.002, 0.002, 0.001: three stacks, one of them
+    # with an exiting curve and one with a start outside the domain.
+    bundle = load_scenario(_MIXED)
+    assert cli._geodesic_stacks(bundle.geodesics) == [[0, 1], [2, 3], [4]]
+    events = []
+    _record_integrations(monkeypatch, events)
+    stacked = run_scenario(_MIXED)
+    assert [len(e[1]) for e in events if e[0] == "integrate"] == [2, 2, 1]
+    errors = {c.name: c.details["error"] for c in stacked.checks if c.name.endswith("-integration")}
+    assert list(errors) == ["geodesic-1-integration", "geodesic-3-integration"]
+    assert errors["geodesic-1-integration"].startswith("trajectory left the sampling domain at s=0.101,")
+    assert errors["geodesic-3-integration"] == "initial point [0.05, 0.0, 0.0, 0.0] outside sampling domain"
+    monkeypatch.setattr(cli, "_geodesic_stacks", lambda geodesics: [[i] for i in range(len(geodesics))])
+    assert run_scenario(_MIXED).to_json() == stacked.to_json()
+
+
+@pytest.mark.parametrize(
+    "scenario, cap, stacks",
+    # example-ii: five 2,001-sample curves, two to a stack under a cap of
+    # 4,501 samples.  The fixture: 501 + 501 samples do not fit in 601.
+    [("example-ii", 4500, [[0, 1], [2, 3], [4]]), (_MIXED, 600, [[0], [1], [2, 3], [4]])],
+)
+def test_stacks_hold_at_most_max_steps_plus_one_samples(monkeypatch, scenario, cap, stacks):
+    path = resolve_scenario_path(scenario)
+    unsplit = run_scenario(path, samples=3).to_json()
+    events = []
+    _record_integrations(monkeypatch, events)
+    monkeypatch.setattr(geometry, "MAX_STEPS", cap)
+    monkeypatch.setattr(cli, "MAX_STEPS", cap)
+    assert cli._geodesic_stacks(load_scenario(path).geodesics) == stacks
+    assert run_scenario(path, samples=3).to_json() == unsplit
+    integrations = [e for e in events if e[0] == "integrate"]
+    assert [len(rows) for _, rows, _ in integrations] == [len(stack) for stack in stacks]
+    assert all(held <= cap + 1 for _, _, held in integrations)
+    # Each stack's curves are checked before the next stack is integrated.
+    for kind, start, *_ in events:
+        if kind == "integrate":
+            stack = start
+        else:
+            assert start in stack
+
+
+def test_metric_error_in_a_stack_keeps_curve_order(tmp_path, monkeypatch):
+    # Geodesic 0 overflows x2^2 in its third RK4 stage; geodesic 1 meets a
+    # singular metric in its second.  The two-row stack raises geodesic 1's
+    # error first; curve-by-curve order, and so the run, raises geodesic 0's.
+    doc = yaml.safe_load(resolve_scenario_path("h2xh2").read_text())
+    doc["sampling"]["count"] = 5
+    doc["geodesics"][0]["v0"] = [1.0e150, 1.0, 1.0, 1.0]
+    doc["geodesics"][1]["v0"] = [1.0, 1.0e150, 1.0, 1.0]
+    path = _write(tmp_path, doc)
+    raised = []
+    integrate = cli.geodesic_integrate
+
+    def logged(M, p0, v0, length, step):
+        try:
+            return integrate(M, p0, v0, length, step)
+        except Exception as exc:
+            raised.append((len(p0), type(exc).__name__))
+            raise
+
+    monkeypatch.setattr(cli, "geodesic_integrate", logged)
+    with pytest.raises(riemsub.expr.DomainError, match=r"power overflows in x2\^2\.0"):
+        run_scenario(path)
+    assert raised == [(2, "SingularMetricError"), (1, "DomainError")]
+    proc = _run_cli(["check", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: DomainError: power overflows in x2^2.0\n"
+
+
+def test_example_ii_integrates_its_five_curves_in_2000_stacked_steps(monkeypatch):
+    # Four stages per step: 4 x 2,000 Christoffel evaluations for the five
+    # stacked curves (curve by curve it was 4 x 10,000), and 7 for the
+    # sample-point checks.
+    calls = []
+    original = geometry.christoffel
+
+    def counted(M, point):
+        calls.append(np.shape(point))
+        return original(M, point)
+
+    for module in (riemsub, geometry, state):
+        monkeypatch.setattr(module, "christoffel", counted)
+    run_scenario(resolve_scenario_path("example-ii"))
+    assert len(calls) == 4 * 2000 + 7
+    assert calls.count((5, 4)) == 4 * 2000
+
+
 @pytest.mark.parametrize(
     "scenario, builds",
     # example-ii: 10 windows for each of 5 geodesics, shared by the
