@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, ExprArray, Const, is_zero, parse, partials
+from .expr import Add, Expr, ExprArray, ExprError, Const, Sub, is_zero, parse, partials
 
 RANK_RTOL = 1e-8
 _MAX_SAMPLE_TRIES = 10_000
@@ -115,8 +115,18 @@ class ManifoldSpec:
         self._metric = ExprArray(self.metric)
         self._derivs = self._metric.diff(dim)  # [i, j, l] = d g_ij / d x_{l+1}
         self.is_flat_constant = all(is_zero(e) for e in self._derivs.entries)
+        self.is_diagonal = all(is_zero(self.metric[i][j]) for i in range(dim) for j in range(dim) if i != j)
         # A constant metric is checked for invertibility once (christoffel).
         self._invertible = False
+        if not self.is_flat_constant:
+            # What christoffel needs at a point, as one array: the metric
+            # entries (the diagonal alone for a diagonal metric), then
+            # B[i, j, l] = (d_i g_jl + d_j g_il) - d_l g_ij.
+            r = range(dim)
+            d = np.array(self._derivs.entries, dtype=object).reshape((dim,) * 3)
+            g = [self.metric[k][k] for k in r] if self.is_diagonal else [e for row in self.metric for e in row]
+            B = [Sub(Add(d[j, l, i], d[i, l, j]), d[i, j, l]) for i in r for j in r for l in r]
+            self._connection = ExprArray(g + B)
 
     def metric_at(self, point) -> np.ndarray:
         return self._metric.eval(point)
@@ -127,8 +137,7 @@ class ManifoldSpec:
 
     def inverse_metric_at(self, point) -> np.ndarray:
         g = self.metric_at(point)
-        _check_invertible(g, point)
-        return np.linalg.inv(g)
+        return _inverse(self, point, np.diagonal(g, axis1=-2, axis2=-1) if self.is_diagonal else g)
 
     def validate(self, samples) -> None:
         """Check symmetry and positive definiteness at the given points,
@@ -145,6 +154,31 @@ class ManifoldSpec:
             i = np.argmin(ok)
             what = "positive definite" if sym[i] else "symmetric"
             raise GeometryError(f"metric not {what} at {pts[i].tolist()}")
+
+
+def _inverse(M: ManifoldSpec, point, g: np.ndarray) -> np.ndarray:
+    """Inverse of the metric values ``g`` at ``point`` (one point or a
+    stack), given by the diagonal ``(..., m)`` alone when ``M.is_diagonal``;
+    raises :class:`SingularMetricError` for the first singular one.
+
+    A finite diagonal is tested and inverted entry by entry: the singular
+    values of a diagonal matrix are its ``|g_kk|`` and its inverse holds
+    ``1 / g_kk``, so this is the SVD test and ``np.linalg.inv`` without
+    LAPACK.  A diagonal with NaN or inf takes LAPACK's path.
+    """
+    if M.is_diagonal:
+        if np.isfinite(g).all():
+            a = abs(g)
+            singular = a.min(-1) <= RANK_RTOL * np.maximum(a.max(-1), 1e-300)
+            if singular.any():
+                raise SingularMetricError(np.reshape(point, (-1, M.dim))[np.argmax(singular)])
+            ginv = np.zeros(g.shape + (M.dim,))
+            k = np.arange(M.dim)
+            ginv[..., k, k] = 1.0 / g
+            return ginv
+        g = M.metric_at(point)
+    _check_invertible(g, point)
+    return np.linalg.inv(g)
 
 
 def _check_invertible(g: np.ndarray, point) -> None:
@@ -214,10 +248,17 @@ def christoffel(M: ManifoldSpec, point) -> np.ndarray:
             _check_invertible(M.metric_at(p), p)
             M._invertible = True
         return np.zeros(p.shape[:-1] + (M.dim, M.dim, M.dim))
-    ginv = M.inverse_metric_at(p)
-    D = M.metric_derivs_at(p)  # D[l, i, j] = d_l g_ij
-    # B[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    B = D + D.swapaxes(-3, -2) - D.swapaxes(-3, -2).swapaxes(-2, -1)
+    try:
+        values = M._connection.eval(p)
+    except ExprError:
+        # Raise what the metric, its invertibility, then its derivatives raise.
+        M.inverse_metric_at(p)
+        M.metric_derivs_at(p)
+        raise
+    m = M.dim
+    B = values[..., -m**3:].reshape(p.shape[:-1] + (m, m, m))
+    g = values[..., :-m**3]
+    ginv = _inverse(M, p, g if M.is_diagonal else g.reshape(B.shape[:-1]))
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
 
 

@@ -57,6 +57,122 @@ def _fd_christoffel(M, p, h=1e-6):
     return gam
 
 
+def _metric(entries) -> ManifoldSpec:
+    """The metric given by expression strings on the box [-1, 1]^dim."""
+    dim = len(entries)
+    return ManifoldSpec(dim, [[parse(e, dim) for e in row] for row in entries], box_domain(dim, -1.0, 1.0))
+
+
+def _diagonal_metric(diagonal, off="0") -> ManifoldSpec:
+    dim = len(diagonal)
+    return _metric([[diagonal[i] if i == j else off for j in range(dim)] for i in range(dim)])
+
+
+def _off_diagonal_metric() -> ManifoldSpec:
+    return _metric([["1", "0.5 * x1"], ["0.5 * x1", "1"]])
+
+
+def _h2xh2():
+    return load_scenario(resolve_scenario_path("h2xh2")).scenario
+
+
+# Every curved metric in the package, a diagonal one with negative entries
+# and one with off-diagonal entries; each with whether it is diagonal.
+_CURVED = {
+    "warped": (lambda: build_warped_map().source, True),
+    "h2xh2-source": (lambda: _h2xh2().M, True),
+    "h2xh2-target": (lambda: _h2xh2().F.target, True),
+    "conformal-r2": (conformal_r2, True),
+    "negative-diagonal": (lambda: _diagonal_metric(["-exp(x1 * x2)", "1 + x3^2", "-(2 + sin(x1))"]), True),
+    "off-diagonal": (_off_diagonal_metric, False),
+}
+
+
+def _reference_christoffel(M, p):
+    """The array formula: LAPACK's invertibility test and inverse of the
+    metric, contracted with B assembled from the metric derivatives."""
+    g = M.metric_at(p)
+    geometry._check_invertible(g, p)
+    ginv = np.linalg.inv(g)
+    D = M.metric_derivs_at(p)
+    B = D + D.swapaxes(-3, -2) - D.swapaxes(-3, -2).swapaxes(-2, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
+
+
+def _outcome(fn, *args):
+    """The bytes ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_CURVED))
+def test_christoffel_matches_the_array_formula_bit_for_bit(name):
+    build, diagonal = _CURVED[name]
+    M = build()
+    assert M.is_diagonal is diagonal and not M.is_flat_constant
+    pts = sample_points(M.domain, 40, seed=17)
+    assert christoffel(M, pts).tobytes() == _reference_christoffel(M, pts).tobytes()
+    for p in pts:
+        assert christoffel(M, p).tobytes() == _reference_christoffel(M, p).tobytes()
+
+
+def test_off_diagonal_christoffel_matches_fd():
+    M = _off_diagonal_metric()
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        p = rng.uniform(-1.0, 1.0, size=2)
+        assert abs(christoffel(M, p) - _fd_christoffel(M, p)).max() < 1e-7
+
+
+def test_off_diagonal_singular_metric_raises():
+    M = _metric([["1", "x1"], ["x1", "1"]])
+    with pytest.raises(SingularMetricError, match=r"singular at \[1.0, 0.5\]"):
+        christoffel(M, (1.0, 0.5))
+
+
+# x1 at or below RANK_RTOL times the largest diagonal entry, 1.
+@pytest.mark.parametrize("x1", [1e-8, 0.5e-8, -1e-8, 0.0, -0.0, 1e-300])
+def test_diagonal_singular_test_matches_the_svd(x1):
+    diagonal = ["1 + x2^2", "x1", "1"]
+    M = _diagonal_metric(diagonal)
+    twin = _diagonal_metric(diagonal, off="x3 - x3")  # zero, but not structurally
+    assert M.is_diagonal and not twin.is_diagonal
+    p = (x1, 0.0, 0.3)
+    stack = [(0.5, 0.1, 0.2), p, (0.0, 0.2, 0.1)]
+    for point in (p, stack):
+        with pytest.raises(SingularMetricError) as diag:
+            christoffel(M, point)
+        with pytest.raises(SingularMetricError) as general:
+            christoffel(twin, point)
+        assert str(diag.value) == str(general.value) == f"metric is singular at {list(p)}"
+        with pytest.raises(SingularMetricError) as inverse:
+            M.inverse_metric_at(point)
+        assert str(inverse.value) == str(diag.value)
+    above = (np.nextafter(1e-8, 1.0), 0.0, 0.3)
+    assert christoffel(M, above).tobytes() == _reference_christoffel(M, above).tobytes()
+
+
+@pytest.mark.parametrize(
+    "diagonal, x1",
+    [
+        (["1", "1e308 * (1 + x1)", "1"], 1.0),  # inf
+        (["1", "-1e308 * (1 + x1)", "2"], 1.0),  # -inf
+        (["1", "1e308 * 10 * x1 - 1e308 * 10 * x1 + 1", "1"], 0.5),  # NaN
+        (["1", "sqrt(x1)", "1"], 0.0),  # singular where a derivative divides by zero
+        (["1", "1 + sqrt(x1)", "1"], 0.0),  # a derivative divides by zero
+        (["1", "ln(x1)", "1"], 0.0),  # the metric cannot be evaluated
+    ],
+)
+def test_diagonal_metric_fails_as_the_array_formula(diagonal, x1):
+    M = _diagonal_metric(diagonal)
+    p = (x1, 0.2, 0.3)
+    for point in (p, [(0.5, 0.2, 0.3), p]):
+        expected = _outcome(_reference_christoffel, M, point)
+        assert _outcome(christoffel, M, point) == expected
+
+
 def test_euclidean_christoffel_vanishes(r4):
     gam = christoffel(r4, (0.3, -1.2, 0.5, 2.0))
     assert abs(gam).max() == 0.0
@@ -238,10 +354,11 @@ def _assert_energies_match_per_sample(M, traj):
     [
         ("example-ii", (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2), 2000),
         ("warped", (0.2, 0.1, -0.3, 0.4), (0.3, 0.5, -0.2, 0.4), 1000),
+        ("off-diagonal", (0.1, -0.2), (0.3, 0.4), 1000),
     ],
 )
 def test_integrator_matches_reference_rk4_bit_for_bit(manifold, p0, v0, n_steps):
-    M = build_scenario_ii().M if manifold == "example-ii" else build_warped_map().source
+    M = build_scenario_ii().M if manifold == "example-ii" else _CURVED[manifold][0]()
     step = 1e-3
     points, velocities, exit_point, _ = _reference_rk4(M, p0, v0, n_steps, step)
     assert exit_point is None

@@ -142,11 +142,11 @@ def test_cli_overflow_exits_2_without_traceback(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "riemsub.cli", "check", str(_write(tmp_path, doc))],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "riemsub", "check", str(_write(tmp_path, doc))],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert "DomainError" in proc.stderr and "overflows" in proc.stderr
 
 
