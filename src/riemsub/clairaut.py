@@ -27,13 +27,14 @@ from .state import (
     SampleState,
     SubmersionError,
     _fix_sign,
+    _oneill,
     apply,
     five_point,
     metric_norms,
     pairs,
     sample_state,
 )
-from .submersion import SmoothMap, _oneill, fiber_character
+from .submersion import SmoothMap
 
 
 class NonGeodesicError(Exception):
@@ -171,10 +172,9 @@ def check_bishop(sc: ClairautScenario, samples) -> CheckReport:
     """Umbilicity with mean curvature equal to minus the exponent gradient:
     residual of ``T_V W + g(V, W) grad f`` over vertical frame pairs."""
     st = _state(sc, samples)
-    e, fv = pairs(st.vertical)
-    t = _oneill(st, "T", e, fv)
-    gradf = st.grad_f
-    residual = float(st.norm(t + st.inner(e, fv)[..., None] * gradf[:, None, None]).max(initial=0.0))
+    T, gradf = st.fiber_shape, st.grad_f
+    gram = st.inner(*pairs(st.vertical))
+    residual = float(st.norm(T + gram[..., None] * gradf[:, None, None]).max(initial=0.0))
     grad_max = float(st.norm(gradf).max(initial=0.0))
     return CheckReport.from_residual(
         "bishop-clairaut",
@@ -401,23 +401,18 @@ def check_thm33_identity(sc: ClairautScenario, samples) -> CheckReport:
     return report
 
 
-def check_dichotomies(
-    sc: ClairautScenario,
-    samples,
-    fiber_report: CheckReport | None = None,
-) -> CheckReport:
+def check_dichotomies(sc: ClairautScenario, samples) -> CheckReport:
     """Consistency of the either/or conclusions on this scenario.
 
     Branch residuals: (a) constancy of f on phi(vertical), measured by
     ``|g(grad f, phi V)|``; (b) one-dimensional fibers (residual zero) or
-    otherwise the totally-geodesic residual.  The disjunction holds when
-    the smaller of the two is below tolerance.  Skipped (not failed) when
-    the hypothesis ``grad f in phi(vertical)`` does not hold.
+    otherwise the totally-geodesic residual ``max |T_{V_j} V_l|``, as in
+    ``fiber_character``.  The disjunction holds when the smaller of the two
+    is below tolerance.  Skipped (not failed) when the hypothesis
+    ``grad f in phi(vertical)`` does not hold.
     """
     tolerance = sc.tolerances.fd
     st = _state(sc, samples)
-    if fiber_report is None:
-        fiber_report = fiber_character(sc.F, st, tolerance=tolerance)
     gradf = st.grad_f
     phiV = apply(st.phi, st.vertical)
     along = st.inner(gradf[:, None], phiV)  # g(grad f, phi V_k)
@@ -425,7 +420,7 @@ def check_dichotomies(
     proj = (along[..., None] * phiV).sum(axis=1)
     hyp_res = float(st.norm(gradf - proj).max(initial=0.0))
     one_dimensional = sc.fiber_dim == 1
-    geo_res = float(fiber_report.details["geodesic_residual"])
+    geo_res = float(st.norm(st.fiber_shape).max(initial=0.0))
     branch_fibers = 0.0 if one_dimensional else geo_res
     residual = min(f_const_res, branch_fibers)
     hypothesis_ok = hyp_res <= tolerance
@@ -433,7 +428,7 @@ def check_dichotomies(
         "fiber_dim": sc.fiber_dim,
         "f_constant_on_phiker": f_const_res <= tolerance,
         "one_dimensional_fibers": one_dimensional,
-        "totally_geodesic": bool(fiber_report.details["totally_geodesic"]),
+        "totally_geodesic": geo_res <= tolerance,
         "grad_in_phiker_residual": hyp_res,
         "lagrangian": sc.mu_dim == 0,
     }

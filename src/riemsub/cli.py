@@ -49,7 +49,6 @@ from .geometry import (
     GeodesicTrajectory,
     GeometryError,
     geodesic_integrate,
-    metric_norm,
     sample_points,
     step_count,
 )
@@ -145,8 +144,7 @@ CHECKS = (
     ("pq-identities", "eq-c2/c3/c5", lambda s: check_pq_identities(
         s.sc, s.state, rng=s.rngs[4], include_antisymmetry=s.done["nearly-kaehler"].passed), ()),
     ("aq-gradient-identity", "th2", lambda s: check_thm33_identity(s.sc, s.state), _UMBILIC),
-    ("dichotomies", "th3", lambda s: check_dichotomies(
-        s.sc, s.state, fiber_report=s.done["fiber-character"]), _UMBILIC),
+    ("dichotomies", "th3", lambda s: check_dichotomies(s.sc, s.state), _UMBILIC),
     ("geodesic-energy", "-", lambda s: CheckReport.from_residual(
         "", "-", len(s.traj), s.traj.energy_drift, s.tol.algebraic * max(1.0, float(s.traj.s[-1])),
         {"length": float(s.traj.s[-1])}), ()),
@@ -184,7 +182,8 @@ def _check_regular_start(M, cfg: GeodesicConfig, path: str) -> None:
     if not M.domain.contains(cfg.p0):
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        speed = metric_norm(M.metric_at(cfg.p0), np.asarray(cfg.v0, dtype=float))
+        # The arithmetic invariant_series tests the curve's speeds with.
+        speed = SampleState(np.atleast_2d(cfg.p0), M).norm(np.asarray(cfg.v0, dtype=float)[None])[0]
     if not math.isfinite(speed):
         raise ScenarioValidationError(f"{path}: metric speed at p0 must be finite")
     if speed < MIN_SPEED:

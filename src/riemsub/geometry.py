@@ -233,12 +233,6 @@ def field_rows(X, point):
     return _field_value(X, point)[None], jacobian
 
 
-def metric_norm(g: np.ndarray, v: np.ndarray) -> float:
-    """Norm of a tangent vector in the metric ``g`` at the anchoring point."""
-    q = float(v @ g @ v)
-    return float(np.sqrt(max(q, 0.0)))
-
-
 def christoffel(M: ManifoldSpec, point) -> np.ndarray:
     """Connection coefficients ``G[k, i, j]`` of the Levi-Civita connection,
     at one point or, for a stack of points ``(N, m)``, stacked ``(N, m, m, m)``."""

@@ -3,10 +3,12 @@ and stacked along a leading sample axis.
 
 A :class:`SampleState` holds N points and the scenario parts it may need
 (source manifold, map, structure, exponent) and builds each array on first
-use: the metric and Christoffel symbols, the map's value, Jacobian and
-Hessian, the target metric and its Christoffel symbols, the g-orthonormal
+use, once, for every check that reads it: the metric, its inverse (from
+``M.inverse_metric_at``) and its Christoffel symbols, the map's value,
+Jacobian and Hessian, the target metric and its symbols, the g-orthonormal
 vertical and horizontal bases, the derivative of the vertical projector,
-phi with its derivatives, and the gradient of the exponent.
+O'Neill's fiber-shape tensor on vertical frame pairs, phi with its
+derivatives, and the gradient of the exponent.
 
 The split at each point comes from a rank-revealing SVD of the Jacobian,
 one stacked ``np.linalg.svd`` for all points: the vertical space is the
@@ -26,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import partials
-from .geometry import RANK_RTOL, christoffel, gradient
+from .geometry import RANK_RTOL, christoffel
 
 
 class SubmersionError(Exception):
@@ -190,6 +192,10 @@ class SampleState:
         return self.M.metric_at(self.points)
 
     @cached_property
+    def inverse_metric(self) -> np.ndarray:
+        return self.M.inverse_metric_at(self.points)
+
+    @cached_property
     def christoffel(self) -> np.ndarray:
         """``G[n, k, i, j]``."""
         return christoffel(self.M, self.points)
@@ -271,8 +277,7 @@ class SampleState:
         with ``dA`` from the map's Hessian and ``dG`` from the metric
         derivatives.
         """
-        g, A, V = self.metric, self.jacobian, self.vertical
-        K = np.linalg.inv(g)
+        g, K, A, V = self.metric, self.inverse_metric, self.jacobian, self.vertical
         Z = np.linalg.solve(A @ K @ A.swapaxes(1, 2), A)
         pv = V.swapaxes(1, 2) @ V @ g
         H = self.hessian  # [n, a, i, l] = d_l A[n, a, i]
@@ -283,6 +288,11 @@ class SampleState:
             -(pv @ K)[:, None] @ X
             - (K @ Z.swapaxes(1, 2))[:, None] @ H.transpose(0, 3, 1, 2) @ pv[:, None]
         )
+
+    @cached_property
+    def fiber_shape(self) -> np.ndarray:
+        """O'Neill's ``T[n, j, l] = T_{V_j} V_l`` on vertical frame pairs."""
+        return _oneill(self, "T", *pairs(self.vertical))
 
     # -- structure and exponent ------------------------------------------
 
@@ -302,5 +312,24 @@ class SampleState:
 
     @cached_property
     def grad_f(self) -> np.ndarray:
-        """Metric gradient of the exponent ``f``."""
-        return gradient(self.M, self.f, self.points)
+        """Metric gradient ``g^{kj} d_j f`` of the exponent ``f``."""
+        return (self.inverse_metric @ self.df[..., None])[..., 0]
+
+
+def _oneill(st: SampleState, kind: str, e, fp, fjac=None) -> np.ndarray:
+    """O'Neill's ``T_e fp`` (``kind`` "T") or ``A_e fp`` (``kind`` "A") at
+    every sample and probe: ``e`` and ``fp`` are ``(N, ..., m)``; ``fjac``, the
+    field's Jacobian ``(N, ..., m, m)``, is None for constant extensions."""
+    u = st.vertical_part(e) if kind == "T" else st.horizontal_part(e)
+    vfp = st.vertical_part(fp)
+    hfp = fp - vfp
+    # Derivatives along u of the field (symbolic) and of its vertical
+    # projection q -> P_V(q) F(q).
+    dvert = np.einsum("n...l,nlij,n...j->n...i", u, st.projector_derivs, fp)
+    dfield = 0.0
+    if fjac is not None:
+        dfield = np.einsum("n...ij,n...j->n...i", fjac, u)
+        dvert = dvert + st.vertical_part(dfield)
+    nabla_vf = dvert + st.connection(u, vfp)
+    nabla_hf = (dfield - dvert) + st.connection(u, hfp)
+    return st.horizontal_part(nabla_vf) + st.vertical_part(nabla_hf)

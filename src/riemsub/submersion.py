@@ -13,9 +13,10 @@ analytically: the derivative of the projected field VF is that of the
 vertical projector, in closed form from the map's Hessian and the metric
 derivatives, applied to F, plus the projected symbolic derivative of F.
 Both tensors are tensorial in their arguments, so constant extensions of
-pointwise vectors are valid inputs.  :func:`_oneill` evaluates them for
-every sample and probe vector of a state in one pass; ``tensor_T`` and
-``tensor_A`` are its one-point case.
+pointwise vectors are valid inputs.  The state's kernel ``_oneill``
+evaluates them for every sample and probe vector of a state in one pass;
+``tensor_T`` and ``tensor_A`` are its one-point case, and the checks on
+vertical frame pairs read the state's ``fiber_shape``.
 
 Finite differences remain only in the oracles: ``check_decompositions``
 compares the tensors with covariant derivatives of fields re-projected at
@@ -39,6 +40,7 @@ from .state import (  # noqa: F401  (the errors and Frame are public here)
     RankDeficiencyError,
     SampleState,
     SubmersionError,
+    _oneill,
     apply,
     connection,
     five_point,
@@ -127,25 +129,6 @@ def _covariant_projected(F, direction, Fld: VectorField, p, gamma, part: str) ->
     st.christoffel = np.asarray(gamma, dtype=float)[None]
     disp = SampleState(stencil_points(p, u), F.source, F)
     return _projected_derivative(st, disp, u[None], Fld.at(p)[None], Fld.at(disp.points), part)[0]
-
-
-def _oneill(st: SampleState, kind: str, e, fp, fjac=None) -> np.ndarray:
-    """``T_e fp`` (``kind`` "T") or ``A_e fp`` (``kind`` "A") at every
-    sample and probe: ``e`` and ``fp`` are ``(N, ..., m)``; ``fjac``, the
-    field's Jacobian ``(N, ..., m, m)``, is None for constant extensions."""
-    u = st.vertical_part(e) if kind == "T" else st.horizontal_part(e)
-    vfp = st.vertical_part(fp)
-    hfp = fp - vfp
-    # Derivatives along u of the field (symbolic) and of its vertical
-    # projection q -> P_V(q) F(q).
-    dvert = np.einsum("n...l,nlij,n...j->n...i", u, st.projector_derivs, fp)
-    dfield = 0.0
-    if fjac is not None:
-        dfield = np.einsum("n...ij,n...j->n...i", fjac, u)
-        dvert = dvert + st.vertical_part(dfield)
-    nabla_vf = dvert + st.connection(u, vfp)
-    nabla_hf = (dfield - dvert) + st.connection(u, hfp)
-    return st.horizontal_part(nabla_vf) + st.vertical_part(nabla_hf)
 
 
 def _oneill_at(F: SmoothMap, E, Fld, point, kind: str, frame, gamma) -> np.ndarray:
@@ -260,7 +243,7 @@ def check_sff_vertical(
     st = sample_state(samples, F.source, F)
     e, fv = pairs(st.vertical)
     lhs = _sff(st, e, fv)
-    rhs = apply(-st.jacobian, _oneill(st, "T", e, fv))
+    rhs = apply(-st.jacobian, st.fiber_shape)
     residual = metric_norms(st.target_metric, lhs - rhs).max(initial=0.0)
     return CheckReport.from_residual(
         "map-second-fundamental-form", "EQ2.15", len(st.points), float(residual), tolerance
@@ -279,11 +262,10 @@ def fiber_character(
     """
     k = F.source.dim - F.target.dim
     st = sample_state(samples, F.source, F)
-    e, fv = pairs(st.vertical)
-    T = _oneill(st, "T", e, fv)  # T[n, j, l] = T_{V_j} V_l
+    T = st.fiber_shape  # T[n, j, l] = T_{V_j} V_l
     # Mean (not summed) curvature over the vertical frame.
     H = T[:, range(k), range(k)].mean(axis=1)
-    gram = st.inner(e, fv)
+    gram = st.inner(*pairs(st.vertical))
     umb_max = float(st.norm(T - gram[..., None] * H[:, None, None]).max(initial=0.0))
     geo_max = float(st.norm(T).max(initial=0.0))
     return CheckReport.from_residual(

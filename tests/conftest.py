@@ -14,6 +14,11 @@ from riemsub.presets import (
 from riemsub.submersion import SmoothMap
 
 
+def metric_norm(g, v):
+    """Reference norm of the vector ``v`` in the metric ``g``, by matrix products."""
+    return np.sqrt(max(float(v @ g @ v), 0.0))
+
+
 def build_scenario_i(f_text="0"):
     source = euclidean_manifold(4, domain=box_domain(4, -2.0, 2.0))
     target = euclidean_manifold(3, domain=box_domain(3, -10.0, 10.0))

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import build_scenario_ii, build_warped_map, circle_trajectory
+from conftest import build_scenario_ii, build_warped_map, circle_trajectory, metric_norm
 from riemsub.clairaut import (
     ClairautScenario,
     NonGeodesicError,
@@ -29,7 +29,6 @@ from riemsub.geometry import (
     GeodesicTrajectory,
     box_domain,
     geodesic_integrate,
-    metric_norm,
     sample_points,
 )
 from riemsub.hermitian import AlmostComplexField
@@ -375,6 +374,16 @@ def test_dichotomies_example_ii(scenario_ii, samples_ii):
     assert rep.passed
     assert rep.details["one_dimensional_fibers"]
     assert not rep.details["f_constant_on_phiker"]
+
+
+def test_dichotomies_skips_when_grad_f_leaves_phi_vertical(samples_ii):
+    # grad x3 = e3 is orthogonal to phi(vertical) on example-ii's map, so
+    # the theorem's hypothesis fails: a skip, not a failure.
+    rep = check_dichotomies(build_scenario_ii("x3"), samples_ii)
+    assert rep.verdict == "skip"
+    assert rep.details["reason"] == "grad f not inside phi(vertical)"
+    assert rep.details["grad_in_phiker_residual"] == pytest.approx(1.0)
+    assert rep.details["f_constant_on_phiker"]
 
 
 def test_dichotomies_example_i(scenario_i, samples_i):

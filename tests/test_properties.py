@@ -38,10 +38,9 @@ from riemsub.geometry import VectorField, christoffel, sample_points
 from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
 from riemsub.presets import canonical_phi
 from riemsub.scenario import load_scenario, resolve_scenario_path
-from riemsub.state import SampleState
+from riemsub.state import SampleState, _oneill
 from riemsub.submersion import (
     _covariant_projected,
-    _oneill,
     build_frame,
     tensor_A,
     tensor_T,

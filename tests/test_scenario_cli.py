@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import riemsub
-from riemsub import clairaut, cli, geometry, state
+from riemsub import clairaut, cli, geometry, state, submersion
 from riemsub.cli import CHECKS, main, run_scenario
 from riemsub.scenario import (
     ScenarioValidationError,
@@ -39,6 +39,8 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 _WARPED_FILE = os.path.join(_ROOT, "perfbench", "scenarios", "warped-product.yaml")
 with open(_WARPED_FILE) as _fh:
     _WARPED = yaml.safe_load(_fh)
+with open(resolve_scenario_path("example-ii")) as _fh:
+    _EXAMPLE_II = yaml.safe_load(_fh)
 
 
 def _write(tmp_path, doc, name="scenario.yaml"):
@@ -157,6 +159,7 @@ def _with(doc, **changes):
 
 
 _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0.5}
+_THRESHOLD_V0 = [5.844416210671739e-13, 6.110858467135888e-13, -4.427439595952497e-13, -2.982949308195329e-13]
 
 
 @pytest.mark.parametrize(
@@ -235,6 +238,17 @@ _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0
         pytest.param(
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e-13, 0, 0, 0])]),
             "geodesics[0].v0: must be nonzero", id="tiny-v0",
+        ),
+        # At the threshold the start test reads the speed with the arithmetic
+        # of the series along the curve: 9.999999999999998e-13 here, where a
+        # matrix product reads 1e-12.
+        pytest.param(
+            ["geodesic", "--p0=1,0,0,0", "--v0=" + ",".join(map(repr, _THRESHOLD_V0))], _EXAMPLE_II,
+            "--v0: must be nonzero, with metric speed at least 1e-12 at p0", id="geodesic-threshold-v0",
+        ),
+        pytest.param(
+            ["check"], _with(_EXAMPLE_II, geodesics=[dict(_EXAMPLE_II["geodesics"][0], v0=_THRESHOLD_V0)]),
+            "geodesics[0].v0: must be nonzero, with metric speed at least 1e-12 at p0", id="threshold-v0",
         ),
         # A speed that overflows leaves no direction either, and no energy.
         pytest.param(
@@ -555,6 +569,24 @@ def test_example_ii_integrates_its_five_curves_in_2000_stacked_steps(monkeypatch
     run_scenario(resolve_scenario_path("example-ii"))
     assert len(calls) == 4 * 2000 + 7
     assert calls.count((5, 4)) == 4 * 2000
+
+
+def test_example_ii_evaluates_the_fiber_shape_tensor_once(monkeypatch):
+    # fiber-character, bishop-clairaut, map-second-fundamental-form and
+    # dichotomies read T on the vertical frame pairs of the one sample state.
+    pair_calls = []
+    original = state._oneill
+
+    def counted(st, kind, e, fp, fjac=None):
+        k = st.vertical.shape[1]
+        if kind == "T" and np.shape(e)[1:] == (k, k, st.M.dim):
+            pair_calls.append(len(st.points))
+        return original(st, kind, e, fp, fjac)
+
+    for module in (state, submersion, clairaut):
+        monkeypatch.setattr(module, "_oneill", counted)
+    run_scenario(resolve_scenario_path("example-ii"))
+    assert pair_calls == [200]
 
 
 @pytest.mark.parametrize(

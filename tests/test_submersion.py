@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import metric_norm
 
 from riemsub.expr import parse
 from riemsub.geometry import (
@@ -8,7 +9,6 @@ from riemsub.geometry import (
     box_domain,
     covariant_derivative,
     gradient,
-    metric_norm,
     sample_points,
 )
 from riemsub.presets import (

@@ -17,6 +17,7 @@ from riemsub.clairaut import (
     ClairautScenario,
     check_anti_invariant,
     check_bishop,
+    check_dichotomies,
     check_pq_identities,
     clairaut_invariant,
 )
@@ -76,6 +77,16 @@ def test_fiber_tensor_closed_form(warped):
         assert tensor_T(warped.F, v, v, p, fr) == pytest.approx(
             [-1.0, 0.0, 0.0, 0.0], abs=1e-9
         )
+
+
+def test_dichotomy_branch_is_the_fiber_geodesic_residual(warped, samples):
+    # Two-dimensional Lagrangian fibers: the fiber branch of the dichotomy
+    # is the totally-geodesic residual, which fiber-character reports too.
+    fiber = fiber_character(warped.F, samples, tolerance=warped.tolerances.fd)
+    rep = check_dichotomies(warped, samples)
+    assert rep.details["lagrangian"] and not rep.details["one_dimensional_fibers"]
+    assert rep.details["totally_geodesic"] is fiber.details["totally_geodesic"] is False
+    assert rep.details["lagrangian_dichotomy_residual"] == fiber.details["geodesic_residual"] > 0.1
 
 
 def test_umbilical_with_exponent_gradient(warped, samples):
