@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Expr, ExprArray
+from .expr import DomainError, Expr, ExprArray, Func
 from .geometry import GeodesicTrajectory, ManifoldSpec, _field_value
 from .hermitian import AlmostComplexField, _nabla_phi
 from .report import CheckReport, Tolerances
@@ -194,14 +194,20 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
 
     ``theta`` is the angle between the velocity and the horizontal space,
     computed from the splitting: ``sin(theta) = |vertical part| / |velocity|``,
-    at all samples from one state.
+    at all samples from one state.  Raises :class:`DomainError` where ``e^f``
+    overflows.
     """
     st = SampleState(traj.points, sc.M, sc.F)
     speed = st.norm(traj.velocities)
     if (speed < MIN_SPEED).any():
         raise ValueError("curve is not regular: zero velocity sample")
     sin_theta = st.norm(st.vertical_part(traj.velocities)) / speed
-    return sin_theta, np.exp(ExprArray(sc.f).eval(st.points)) * sin_theta
+    with np.errstate(over="raise"):
+        try:
+            exp_f = np.exp(ExprArray(sc.f).eval(st.points))
+        except FloatingPointError:
+            raise DomainError("exponential overflows", Func("exp", sc.f)) from None
+    return sin_theta, exp_f * sin_theta
 
 
 def invariant_drift(invariant):

@@ -327,7 +327,7 @@ class ExprArray:
     floats; at a stack of points, any 2-D array-like ``(N, m)``, it returns
     the values at each point stacked along a leading axis of length ``N``.
     ``diff`` builds the array of partial derivatives.  The function is generated
-    at the first evaluation: straight-line Python that computes each
+    at the first evaluation, or by ``compile``: straight-line Python that computes each
     structurally distinct subexpression once, with the same float operation
     per node.  If it raises, the entries are evaluated again by the per-node
     walk, which raises the reference error (a :class:`DomainError` naming
@@ -355,10 +355,10 @@ class ExprArray:
                 out = np.empty(shape)
                 out[...] = self._const
                 return out
-            return np.array([self._values(p) for p in point]).reshape(shape)
+            return np.array([self.values(p) for p in point]).reshape(shape)
         if self._const is not None:
             return self._const
-        return np.array(self._values(point)).reshape(self.shape)
+        return np.array(self.values(point)).reshape(self.shape)
 
     def diff(self, dim: int) -> "ExprArray":
         """Exact partial derivatives of every entry along a new last axis of
@@ -366,10 +366,19 @@ class ExprArray:
         flat = np.array([e.diff(i + 1) for e in self.entries for i in range(dim)], dtype=object)
         return ExprArray(flat.reshape(self.shape + (dim,)))
 
-    def _values(self, point):
-        """Entry values at one point; the per-node walk raises the error."""
+    def compile(self) -> "ExprArray":
+        """Generate the compiled function now, not at the first evaluation;
+        returns the array."""
         if self._fn is None:
             self._fn = _compile(self.entries)
+        return self
+
+    def values(self, point):
+        """Entry values at one point, a sequence of Python floats in entry
+        order, without ``eval``'s array; the per-node walk raises the error.
+        ``point`` is any sequence of floats."""
+        if self._fn is None:
+            self.compile()
         try:
             return self._fn(point)
         except (ArithmeticError, ValueError):

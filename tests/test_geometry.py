@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riemsub import geometry
-from riemsub.expr import Const, Mul, parse
+from riemsub.expr import Const, DomainError, Mul, parse
 from riemsub.geometry import (
     DomainExitError,
     ExclusionTube,
@@ -134,7 +134,7 @@ def test_off_diagonal_singular_metric_raises():
 
 # x1 at or below RANK_RTOL times the largest diagonal entry, 1.
 @pytest.mark.parametrize("x1", [1e-8, 0.5e-8, -1e-8, 0.0, -0.0, 1e-300])
-def test_diagonal_singular_test_matches_the_svd(x1):
+def test_diagonal_singular_test_matches_the_svd(x1, monkeypatch):
     diagonal = ["1 + x2^2", "x1", "1"]
     M = _diagonal_metric(diagonal)
     twin = _diagonal_metric(diagonal, off="x3 - x3")  # zero, but not structurally
@@ -150,8 +150,14 @@ def test_diagonal_singular_test_matches_the_svd(x1):
         with pytest.raises(SingularMetricError) as inverse:
             M.inverse_metric_at(point)
         assert str(inverse.value) == str(diag.value)
+        with pytest.raises(SingularMetricError) as rate:
+            geometry._rate(M, np.concatenate([point, np.ones(np.shape(point))], axis=-1))
+        assert str(rate.value) == str(diag.value)
     above = (np.nextafter(1e-8, 1.0), 0.0, 0.3)
     assert christoffel(M, above).tobytes() == _reference_christoffel(M, above).tobytes()
+    # The compiled rate's own test passes it: no Christoffel fallback.
+    monkeypatch.setattr(geometry, "christoffel", None)
+    geometry._rate(M, np.concatenate([above, np.ones(3)]))
 
 
 @pytest.mark.parametrize(
@@ -316,14 +322,19 @@ def test_domain_exit_reports_partial_trajectory(r4):
     assert len(err.value.trajectory) > 10
 
 
-def _reference_rk4(M, p0, v0, n_steps, step):
+def _acceleration(M):
+    """What the integrator takes as the acceleration at one point: the
+    accel entries of the compiled rate array on a curved diagonal metric,
+    the Christoffel contraction on any other."""
+    if M._geodesic_rate is None:
+        return lambda x, v: -np.einsum("kij,i,j->k", christoffel(M, x), v, v)
+    return lambda x, v: np.array(M._geodesic_rate.values(np.concatenate([x, v]).tolist())[M.dim :])
+
+
+def _reference_rk4(M, p0, v0, n_steps, step, acceleration):
     """Classical RK4 as separate point and velocity stage chains, sample by
-    sample: the points, the velocities and, on leaving the domain, the exit
-    point and arc parameter (else None, None)."""
-
-    def acceleration(x, v):
-        return -np.einsum("kij,i,j->k", christoffel(M, x), v, v)
-
+    sample, with ``acceleration(x, v)``: the points, the velocities and, on
+    leaving the domain, the exit point and arc parameter (else None, None)."""
     x, v = np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)
     points, velocities = [x], [v]
     for k in range(n_steps):
@@ -349,6 +360,37 @@ def _assert_energies_match_per_sample(M, traj):
     assert traj.energy_drift == abs(traj.energies - traj.energies[0]).max()
 
 
+def _wrong_exponent():
+    return load_scenario(resolve_scenario_path("h2xh2-wrong-exponent")).scenario
+
+
+_ORACLE_METRICS = {name: build for name, (build, diagonal) in _CURVED.items() if diagonal}
+_ORACLE_METRICS["h2xh2-wrong-exponent-source"] = lambda: _wrong_exponent().M
+_ORACLE_METRICS["h2xh2-wrong-exponent-target"] = lambda: _wrong_exponent().F.target
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_METRICS))
+def test_compiled_acceleration_matches_christoffel_to_summation_order(name):
+    # The compiled sum and the einsum add the same products in another
+    # order, so each component may differ by a few ulps of the sum of the
+    # absolute products; a relative bound per component is the wrong test,
+    # since the sum may cancel.
+    M = _ORACLE_METRICS[name]()
+    assert M._geodesic_rate is not None
+    m, n = M.dim, 2000
+    x = sample_points(M.domain, n, seed=23)
+    v = np.random.default_rng(23).uniform(-1.0, 1.0, (n, m))
+    z = np.concatenate([x, v], axis=-1)
+    acceleration = _acceleration(M)
+    compiled = np.array([acceleration(p, w) for p, w in zip(x, v)])
+    assert geometry._rate(M, z)[:, m:].tobytes() == compiled.tobytes()
+    gamma = christoffel(M, x)
+    reference = -np.einsum("nkij,ni,nj->nk", gamma, v, v)
+    scale = np.einsum("nkij,ni,nj->nk", abs(gamma), abs(v), abs(v))
+    assert (abs(compiled - reference) <= 4 * np.finfo(float).eps * scale).all()
+    assert (compiled != reference).any()
+
+
 @pytest.mark.parametrize(
     "manifold, p0, v0, n_steps",
     [
@@ -360,7 +402,7 @@ def _assert_energies_match_per_sample(M, traj):
 def test_integrator_matches_reference_rk4_bit_for_bit(manifold, p0, v0, n_steps):
     M = build_scenario_ii().M if manifold == "example-ii" else _CURVED[manifold][0]()
     step = 1e-3
-    points, velocities, exit_point, _ = _reference_rk4(M, p0, v0, n_steps, step)
+    points, velocities, exit_point, _ = _reference_rk4(M, p0, v0, n_steps, step, _acceleration(M))
     assert exit_point is None
     traj = geodesic_integrate(M, p0, v0, n_steps * step, step)
     assert len(traj) == n_steps + 1
@@ -373,7 +415,7 @@ def test_integrator_matches_reference_rk4_bit_for_bit(manifold, p0, v0, n_steps)
 def test_domain_exit_matches_reference_rk4_bit_for_bit():
     M = build_scenario_ii().M
     p0, v0, step = (3.9, 0.2, 0.1, -0.2), (1.0, 0.8, 0.3, 0.2), 1e-3
-    points, velocities, exit_point, s = _reference_rk4(M, p0, v0, 3000, step)
+    points, velocities, exit_point, s = _reference_rk4(M, p0, v0, 3000, step, _acceleration(M))
     with pytest.raises(DomainExitError) as err:
         geodesic_integrate(M, p0, v0, 3.0, step)
     partial = err.value.trajectory
@@ -427,7 +469,8 @@ def test_stacked_rows_match_one_row_and_reference_rk4_bit_for_bit(manifold, rand
         if isinstance(got, ValueError):
             assert str(got) == str(one)
             continue
-        points, velocities, exit_point, s = _reference_rk4(M, p, v, int(round(length / step)), step)
+        n_steps = int(round(length / step))
+        points, velocities, exit_point, s = _reference_rk4(M, p, v, n_steps, step, _acceleration(M))
         if isinstance(got, DomainExitError):
             assert str(got) == str(one)
             assert got.exit_point.tobytes() == one.exit_point.tobytes() == exit_point.tobytes()
@@ -452,6 +495,60 @@ def test_stacked_metric_error_ends_the_call():
     with pytest.raises(SingularMetricError) as stacked:
         geodesic_integrate(M, [p0, p0], [(0.3, 0.2, 0.1, 0.1), v0], 1.0, 1e-3)
     assert str(stacked.value) == str(one.value)
+
+
+# Starts at which the compiled geodesic rate cannot be used, per case: the
+# metric diagonal on [-1, 1]^dim, the start, a regular start, and what the
+# Christoffel path raised there before the compiled rate existed (one step
+# of 0.01, alone and stacked under the regular row).
+_RATE_FALLBACKS = {
+    # 1/x2^2 turns singular in the second RK4 stage
+    "singular mid-curve": (
+        ["1/x2^2", "1/x2^2", "1/x4^2", "1/x4^2"],
+        ((0.0, 1.0, 0.0, 1.0), (1.0, 1e150, 1.0, 1.0)),
+        (0.0, 0.5, 0.0, 0.5),
+        (SingularMetricError, "metric is singular at [0.005, 5e+147, 0.005, 1.005]"),
+    ),
+    # the compiled accel divides by g_22 = 0 in the second stage
+    "zero diagonal": (
+        ["1 + x2^2", "x1", "1"],
+        ((-0.005, 0.2, 0.3), (1.0, 0.5, 0.5)),
+        (0.5, 0.2, 0.3),
+        (SingularMetricError, "metric is singular at [0.0, 0.2025, 0.3025]"),
+    ),
+    "domain error mid-curve": (
+        ["1 + x2^2", "2 + ln(x1)", "1"],
+        ((0.004, 0.2, 0.3), (-1.0, 0.5, 0.5)),
+        (0.5, 0.2, 0.3),
+        (DomainError, "logarithm of a non-positive value in ln(x1)"),
+    ),
+    # non-finite diagonals take LAPACK's path
+    "inf diagonal": (
+        ["1", "1 + x1 * 1e308 * x1 * 10", "1"],
+        ((0.5, 0.2, 0.3), (1.0, 0.5, 0.5)),
+        (0.0, 0.2, 0.3),
+        (np.linalg.LinAlgError, "SVD did not converge"),
+    ),
+    "nan diagonal": (
+        ["1", "1 + x1 * 1e308 * x1 * 10 - x1 * 1e308 * x1 * 10", "1"],
+        ((0.5, 0.2, 0.3), (1.0, 0.5, 0.5)),
+        (0.0, 0.2, 0.3),
+        (np.linalg.LinAlgError, "SVD did not converge"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RATE_FALLBACKS))
+def test_rate_fallback_raises_the_christoffel_error(case):
+    diagonal, (p0, v0), regular, expected = _RATE_FALLBACKS[case]
+    M = _diagonal_metric(diagonal)
+    assert M._geodesic_rate is not None
+    still = (0.0,) + (0.1,) * (M.dim - 1)
+    geodesic_integrate(M, regular, still, 0.01, 0.01)
+    for starts, velocities in ((p0, v0), ([regular, p0], [still, v0])):
+        with pytest.raises(Exception) as err:
+            geodesic_integrate(M, starts, velocities, 1.0, 0.01)
+        assert (type(err.value), str(err.value)) == expected
 
 
 def test_exclusion_tube_sampling():

@@ -41,6 +41,8 @@ with open(_WARPED_FILE) as _fh:
     _WARPED = yaml.safe_load(_fh)
 with open(resolve_scenario_path("example-ii")) as _fh:
     _EXAMPLE_II = yaml.safe_load(_fh)
+with open(resolve_scenario_path("h2xh2")) as _fh:
+    _H2XH2 = yaml.safe_load(_fh)
 
 
 def _write(tmp_path, doc, name="scenario.yaml"):
@@ -267,6 +269,15 @@ _THRESHOLD_V0 = [5.844416210671739e-13, 6.110858467135888e-13, -4.42743959595249
         pytest.param(
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e200, 0, 0, 0])]),
             "geodesics[0].v0: metric speed at p0 must be finite", id="overflowing-v0",
+        ),
+        # e^f overflows along the curve, so there is no Clairaut invariant.
+        pytest.param(
+            ["check"], _with(_H2XH2, clairaut={"f": "x4 + 1e300"}),
+            "DomainError: exponential overflows in exp(x4 + 1e+300)", id="overflowing-exp-f",
+        ),
+        pytest.param(
+            ["geodesic"], _with(_H2XH2, clairaut={"f": "x4 + 1e300"}),
+            "DomainError: exponential overflows in exp(x4 + 1e+300)", id="geodesic-overflowing-exp-f",
         ),
         # numpy's seed sequence takes nonnegative integers only.
         pytest.param(
@@ -569,6 +580,32 @@ def test_example_ii_integrates_its_five_curves_in_2000_stacked_steps(monkeypatch
     run_scenario(resolve_scenario_path("example-ii"))
     assert len(calls) == 4 * 2000 + 7
     assert calls.count((5, 4)) == 4 * 2000
+
+
+def test_warped_geodesic_takes_the_compiled_rate_at_every_stage(monkeypatch):
+    # Four stages per step of the 1,000-step geodesic, each one compiled
+    # rate evaluation and no Christoffel symbols.
+    bundle = load_scenario(_WARPED_FILE)
+    M = bundle.scenario.M
+    rate, original = M._geodesic_rate, geometry.christoffel
+    rows, calls = [], []
+
+    class Counted:
+        def values(self, point):
+            rows.append(len(point))
+            return rate.values(point)
+
+    def counted(M, point):
+        calls.append(np.shape(point))
+        return original(M, point)
+
+    monkeypatch.setattr(M, "_geodesic_rate", Counted())
+    monkeypatch.setattr(geometry, "christoffel", counted)
+    (g,) = bundle.geodesics
+    traj = geometry.geodesic_integrate(M, g.p0, g.v0, g.length, g.step)
+    assert len(traj) == 1001
+    assert rows == [8] * 4 * 1000
+    assert calls == []
 
 
 def test_example_ii_evaluates_the_fiber_shape_tensor_once(monkeypatch):
