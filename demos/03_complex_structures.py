@@ -14,7 +14,6 @@ import numpy as np
 
 from riemsub import (
     AlmostComplexField,
-    apply_phi,
     check_nearly_kaehler,
     check_structure,
     sample_points,
@@ -31,8 +30,8 @@ print("== action of the canonical structure on the coordinate frame ==")
 p = (0.0, 0.0, 0.0, 0.0)
 for i in range(4):
     e = np.eye(4)[i]
-    print(f"phi(e{i+1}) = {apply_phi(canonical, p, e)}")
-print("phi(e1 - e2) =", apply_phi(canonical, p, [1, -1, 0, 0]), " (minus e1 + e2)")
+    print(f"phi(e{i+1}) = {canonical.matrix_at(p) @ e}")
+print("phi(e1 - e2) =", canonical.matrix_at(p) @ np.array([1.0, -1.0, 0.0, 0.0]), " (minus e1 + e2)")
 
 print()
 print("== pointwise identities: square and compatibility ==")

@@ -42,11 +42,6 @@ class AlmostComplexField:
         return self._dentries.eval(point).swapaxes(-1, -2).swapaxes(-2, -3)
 
 
-def apply_phi(J: AlmostComplexField, point, v) -> np.ndarray:
-    """Apply the structure at ``point`` to a tangent vector."""
-    return J.matrix_at(point) @ np.asarray(v, dtype=float)
-
-
 def _nabla_phi(st: SampleState, x, y) -> np.ndarray:
     """``(nabla_x phi) y`` at every sample and probe, ``x`` and ``y`` ``(N, ..., m)``.
 

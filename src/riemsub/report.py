@@ -67,11 +67,13 @@ class CheckReport:
 
     @classmethod
     def from_residual(cls, name, ref, samples, max_residual, tolerance, details=None):
+        """Pass when ``max_residual <= tolerance``; a residual that is not
+        finite fails, with ``details["reason"]`` "non-finite residual"."""
+        details = details or {}
+        if not np.isfinite(max_residual):
+            details["reason"] = "non-finite residual"
         verdict = PASS if max_residual <= tolerance else FAIL
-        return cls(
-            name, ref, int(samples), float(max_residual), float(tolerance), verdict,
-            details or {},
-        )
+        return cls(name, ref, int(samples), float(max_residual), float(tolerance), verdict, details)
 
     @property
     def passed(self) -> bool:

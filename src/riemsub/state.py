@@ -17,8 +17,9 @@ orthonormalized in the source metric with a deterministic sign rule
 (largest-magnitude component positive).
 
 Vectors handed to the methods carry the sample axis first and any probe
-axes after it, ``(N, ..., m)``.  The one-point helpers (``build_frame``,
-``tensor_T``, ``nabla_phi``, ...) run the same kernels on a one-row state.
+axes after it, ``(N, ..., m)``.  The one-point helpers that remain
+(``build_frame``, ``tensor_T``, ``tensor_A``, ``nabla_phi`` and
+``geodesic_condition_residuals``) run the same kernels on a one-row state.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import ExprArray
-from .geometry import ManifoldSpec, VectorField, _field_value, field_rows
+from .geometry import ManifoldSpec, _field_value, field_rows
 from .report import CheckReport, Tolerances
 from .state import (  # noqa: F401  (the errors and Frame are public here)
     FD_STEP,
@@ -118,17 +118,6 @@ def _projected_derivative(st, disp, u, values, disp_values, part: str) -> np.nda
         return vert if part == "vertical" else v - vert
 
     return five_point(project(disp, disp_values), FD_STEP) + st.connection(u, project(st, values))
-
-
-def _covariant_projected(F, direction, Fld: VectorField, p, gamma, part: str) -> np.ndarray:
-    """``nabla_direction`` at the point ``p`` of the projected field
-    ``q -> proj_q(Fld(q))``: the one-point case of the oracle."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    st = SampleState(p[None], F.source, F)
-    st.christoffel = np.asarray(gamma, dtype=float)[None]
-    disp = SampleState(stencil_points(p, u), F.source, F)
-    return _projected_derivative(st, disp, u[None], Fld.at(p)[None], Fld.at(disp.points), part)[0]
 
 
 def _oneill_at(F: SmoothMap, E, Fld, point, kind: str, frame, gamma) -> np.ndarray:
@@ -219,17 +208,6 @@ def _sff(st: SampleState, e, fv, fjac=None) -> np.ndarray:
         cov = cov + np.einsum("n...ij,n...j->n...i", fjac, e)
     pushed = connection(st.target_christoffel, apply(jac, e), apply(jac, fv))
     return np.einsum("n...aj,n...j->n...a", ds, e) + pushed - apply(jac, cov)
-
-
-def second_fundamental_form(F: SmoothMap, E, Fld, point) -> np.ndarray:
-    """Second fundamental form of the map, in target coordinates.
-
-    ``nabla^N_E (push F) - push(nabla^M_E F)`` with the pullback connection
-    on the first term; everything is assembled from symbolic derivatives of
-    the map components, so no finite differencing is involved.
-    """
-    st = SampleState(np.atleast_2d(point), F.source, F)
-    return _sff(st, _field_value(E, point)[None], *field_rows(Fld, point))[0]
 
 
 def check_sff_vertical(

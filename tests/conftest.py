@@ -11,7 +11,14 @@ from riemsub.presets import (
     map_example_i_components,
     map_example_ii_components,
 )
+from riemsub.state import SampleState
 from riemsub.submersion import SmoothMap
+
+
+def one_row(point, M, F=None, J=None, f=None):
+    """The per-sample state at the single point ``point``: each stacked
+    kernel's row 0 is its value there."""
+    return SampleState(np.asarray(point, dtype=float)[None], M, F, J, f)
 
 
 def metric_norm(g, v):

@@ -3,11 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import build_scenario_ii, build_warped_map, circle_trajectory, metric_norm
+from conftest import build_scenario_ii, build_warped_map, circle_trajectory, metric_norm, one_row
 from riemsub.clairaut import (
     ClairautScenario,
     NonGeodesicError,
-    alpha_beta_split,
+    _mu_rows,
     check_anti_invariant,
     check_bishop,
     check_clairaut_condition,
@@ -20,9 +20,7 @@ from riemsub.clairaut import (
     geodesic_condition_residuals,
     interior_indices,
     invariant_series,
-    mu_basis,
     pq_curve_residual,
-    pq_tensors,
 )
 from riemsub.expr import parse
 from riemsub.geometry import (
@@ -31,9 +29,10 @@ from riemsub.geometry import (
     geodesic_integrate,
     sample_points,
 )
-from riemsub.hermitian import AlmostComplexField
+from riemsub.hermitian import AlmostComplexField, _nabla_phi
 from riemsub.presets import euclidean_manifold, twisted_phi
 from riemsub.scenario import load_scenario
+from riemsub.state import apply
 from riemsub.submersion import SmoothMap, build_frame
 
 SQ2 = np.sqrt(2.0)
@@ -80,65 +79,74 @@ def test_anti_invariant_fails_on_invariant_kernel():
 
 
 def test_mu_basis_properties(scenario_ii, samples_ii):
-    from riemsub.hermitian import apply_phi
-
     for p in samples_ii[:10]:
-        fr = build_frame(scenario_ii.F, p)
-        mu = mu_basis(scenario_ii, fr)
+        st = one_row(p, scenario_ii.M, scenario_ii.F, scenario_ii.J)
+        mu = _mu_rows(scenario_ii, st)[0]
         assert mu.shape == (2, 4)
-        g = fr.metric
+        g = st.metric[0]
         gram = mu @ g @ mu.T
         assert abs(gram - np.eye(2)).max() < 1e-10
         for row in mu:
-            assert metric_norm(g, fr.vertical_part(row)) < 1e-10
-            for v in fr.vertical:
-                assert abs(float(row @ g @ apply_phi(scenario_ii.J, p, v))) < 1e-10
+            assert metric_norm(g, st.vertical_part(row[None])[0]) < 1e-10
+            for v in st.vertical[0]:
+                assert abs(float(row @ g @ (st.phi[0] @ v))) < 1e-10
+
+
+def _split(sc, p, X):
+    """``phi X = alpha + beta`` at ``p``, alpha vertical, on a one-row state:
+    alpha, beta, the norm of beta's vertical part and the largest
+    ``|g(beta, phi V)|`` over the vertical frame."""
+    st = one_row(p, sc.M, sc.F, sc.J)
+    phiX = apply(st.phi, np.asarray(X, dtype=float)[None])
+    alpha = st.vertical_part(phiX)
+    beta = phiX - alpha
+    phiker = abs(st.inner(beta[:, None], apply(st.phi, st.vertical))).max(initial=0.0)
+    return alpha[0], beta[0], float(st.norm(st.vertical_part(beta))[0]), float(phiker)
 
 
 def test_alpha_beta_radial(scenario_ii):
     p = np.array([1.0, 1.0, 0.0, 0.0])
     X = np.array([1.0, 1.0, 0.0, 0.0]) / SQ2
-    split = alpha_beta_split(scenario_ii, p, X)
-    assert abs(split.beta).max() < 1e-10
-    assert abs(split.alpha) == pytest.approx([1 / SQ2, 1 / SQ2, 0.0, 0.0], abs=1e-10)
-    assert split.vertical_residual < 1e-10
-    assert split.phiker_residual < 1e-10
+    alpha, beta, vertical_residual, phiker_residual = _split(scenario_ii, p, X)
+    assert abs(beta).max() < 1e-10
+    assert abs(alpha) == pytest.approx([1 / SQ2, 1 / SQ2, 0.0, 0.0], abs=1e-10)
+    assert vertical_residual < 1e-10
+    assert phiker_residual < 1e-10
 
 
 def test_alpha_beta_e3(scenario_ii):
     p = np.array([1.0, 1.0, 0.0, 0.0])
     X = np.array([0.0, 0.0, 1.0, 0.0])
-    split = alpha_beta_split(scenario_ii, p, X)
-    assert abs(split.alpha).max() < 1e-12
-    assert split.beta == pytest.approx([0.0, 0.0, 0.0, -1.0], abs=1e-12)
+    alpha, beta, _, _ = _split(scenario_ii, p, X)
+    assert abs(alpha).max() < 1e-12
+    assert beta == pytest.approx([0.0, 0.0, 0.0, -1.0], abs=1e-12)
 
 
 def test_alpha_beta_zero_vector(scenario_ii):
-    split = alpha_beta_split(scenario_ii, (1.0, 0.5, 0.0, 0.0), np.zeros(4))
-    assert abs(split.alpha).max() == 0.0
-    assert abs(split.beta).max() == 0.0
-
-
-def test_alpha_beta_rejects_non_horizontal(scenario_ii):
-    p = np.array([1.0, 1.0, 0.0, 0.0])
-    vert = build_frame(scenario_ii.F, p).vertical[0]
-    with pytest.raises(ValueError):
-        alpha_beta_split(scenario_ii, p, vert)
+    alpha, beta, _, _ = _split(scenario_ii, (1.0, 0.5, 0.0, 0.0), np.zeros(4))
+    assert abs(alpha).max() == 0.0
+    assert abs(beta).max() == 0.0
 
 
 def test_alpha_beta_reconstruction(scenario_ii, samples_ii):
-    from riemsub.hermitian import apply_phi
-
     rng = np.random.default_rng(12)
     for p in samples_ii[:15]:
-        fr = build_frame(scenario_ii.F, p)
-        X = fr.horizontal_part(rng.standard_normal(4))
-        X = X - fr.vertical_part(X)
-        split = alpha_beta_split(scenario_ii, p, X)
-        phiX = apply_phi(scenario_ii.J, p, X)
-        assert metric_norm(fr.metric, phiX - split.alpha - split.beta) < 1e-10
-        assert split.vertical_residual < 1e-10
-        assert split.phiker_residual < 1e-10
+        st = one_row(p, scenario_ii.M, scenario_ii.F, scenario_ii.J)
+        X = st.horizontal_part(rng.standard_normal(4)[None])[0]
+        X = X - st.vertical_part(X[None])[0]
+        alpha, beta, vertical_residual, phiker_residual = _split(scenario_ii, p, X)
+        phiX = st.phi[0] @ X
+        assert metric_norm(st.metric[0], phiX - alpha - beta) < 1e-10
+        assert vertical_residual < 1e-10
+        assert phiker_residual < 1e-10
+
+
+def _pq(sc, U, V, p):
+    """Horizontal and vertical parts of ``(nabla_U phi) V`` at ``p``."""
+    st = one_row(p, sc.M, sc.F, sc.J)
+    d = _nabla_phi(st, np.asarray(U, dtype=float)[None], np.asarray(V, dtype=float)[None])
+    vert = st.vertical_part(d)
+    return (d - vert)[0], vert[0]
 
 
 def test_pq_zero_for_parallel_structure(scenario_i, samples_i):
@@ -146,7 +154,7 @@ def test_pq_zero_for_parallel_structure(scenario_i, samples_i):
     for p in samples_i[:10]:
         U = rng.standard_normal(4)
         V = rng.standard_normal(4)
-        P, Q = pq_tensors(scenario_i, U, V, p)
+        P, Q = _pq(scenario_i, U, V, p)
         assert abs(P).max() < 1e-12
         assert abs(Q).max() < 1e-12
 
@@ -159,7 +167,7 @@ def test_pq_twisted_nonzero():
         name="twisted", J=AlmostComplexField(twisted_phi()), F=sc.F, f=sc.f
     )
     p = (0.9, 0.4, 0.3, -0.2)
-    P, Q = pq_tensors(sc_t, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], p)
+    P, Q = _pq(sc_t, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], p)
     # Frozen from an oracle run at this point.
     assert np.linalg.norm(Q) == pytest.approx(0.318139189494, abs=1e-9)
     assert np.linalg.norm(P + Q) == pytest.approx(1.0, abs=1e-12)
@@ -398,7 +406,7 @@ def scenario_lagrangian():
     # Two-dimensional fibers spanned by e2, e3; their images under the
     # canonical structure (e1 and -e4) exhaust the horizontal space.
     from riemsub.clairaut import ClairautScenario
-    from riemsub.hermitian import AlmostComplexField
+    from riemsub.hermitian import AlmostComplexField, _nabla_phi
     from riemsub.presets import canonical_phi
 
     source = euclidean_manifold(4)

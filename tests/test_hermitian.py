@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import one_row
 
 from riemsub.geometry import VectorField, sample_points
 from riemsub.hermitian import (
     AlmostComplexField,
-    apply_phi,
     check_nearly_kaehler,
     check_structure,
     nabla_phi,
@@ -34,20 +34,22 @@ def samples(r4):
     return sample_points(r4.domain, 60, seed=42)
 
 
-def test_canonical_frame_action(canonical):
+def test_canonical_frame_action(r4, canonical):
     p = (0.1, 0.2, 0.3, 0.4)
-    assert apply_phi(canonical, p, [1, 0, 0, 0]) == pytest.approx([0, -1, 0, 0])
-    assert apply_phi(canonical, p, [0, 1, 0, 0]) == pytest.approx([1, 0, 0, 0])
-    assert apply_phi(canonical, p, [0, 0, 1, 0]) == pytest.approx([0, 0, 0, -1])
-    assert apply_phi(canonical, p, [0, 0, 0, 1]) == pytest.approx([0, 0, 1, 0])
+    phi = one_row(p, r4, J=canonical).phi[0]
+    assert phi @ [1, 0, 0, 0] == pytest.approx([0, -1, 0, 0])
+    assert phi @ [0, 1, 0, 0] == pytest.approx([1, 0, 0, 0])
+    assert phi @ [0, 0, 1, 0] == pytest.approx([0, 0, 0, -1])
+    assert phi @ [0, 0, 0, 1] == pytest.approx([0, 0, 1, 0])
 
 
-def test_square_is_minus_identity(canonical, twisted, samples):
+def test_square_is_minus_identity(r4, canonical, twisted, samples):
     rng = np.random.default_rng(0)
     for J in (canonical, twisted):
         for p in samples[:20]:
             v = rng.standard_normal(4)
-            assert apply_phi(J, p, apply_phi(J, p, v)) == pytest.approx(-v, abs=1e-12)
+            phi = one_row(p, r4, J=J).phi[0]
+            assert phi @ (phi @ v) == pytest.approx(-v, abs=1e-12)
 
 
 def test_twisted_is_canonical_conjugated_by_rotation(canonical, twisted):
@@ -67,10 +69,10 @@ def test_twisted_is_canonical_conjugated_by_rotation(canonical, twisted):
         assert np.array_equal(twisted.derivs_at(p), expected)
 
 
-def test_example_i_kernel_image(canonical):
+def test_example_i_kernel_image(r4, canonical):
     # phi sends the fiber direction (e1 - e2) to -(e1 + e2).
     p = (0.0, 0.0, 0.0, 0.0)
-    out = apply_phi(canonical, p, [1, -1, 0, 0])
+    out = one_row(p, r4, J=canonical).phi[0] @ [1, -1, 0, 0]
     assert out == pytest.approx([-1, -1, 0, 0])
 
 

@@ -11,15 +11,18 @@ derivatives of ``differentiate``.  Every frame must be g-orthonormal with
 complementary projectors.  The finite-difference oracle of
 ``check_decompositions`` (covariant derivatives of fields re-projected at
 displaced points) is the reference for the analytic ``tensor_T`` /
-``tensor_A``.
+``tensor_A``.  Negating frame basis vectors must leave every sample-point
+check's record the same to the bit.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riemsub.expr import (
     FD_REL_STEP,
@@ -33,14 +36,14 @@ from riemsub.expr import (
     parse,
     partials,
 )
-from riemsub.cli import run_scenario
+from riemsub.cli import CHECKS, _Run, _run_checks, run_scenario
 from riemsub.geometry import VectorField, christoffel, sample_points
 from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
 from riemsub.presets import canonical_phi
 from riemsub.scenario import load_scenario, resolve_scenario_path
-from riemsub.state import SampleState, _oneill
+from riemsub.state import STENCIL_OFFSETS, SampleState, _oneill, stencil_points
 from riemsub.submersion import (
-    _covariant_projected,
+    _projected_derivative,
     build_frame,
     tensor_A,
     tensor_T,
@@ -251,6 +254,17 @@ def test_constant_array_is_stored_read_only():
 # ---------------------------------------------------------------------------
 
 
+def _covariant_projected(F, direction, Fld: VectorField, p, gamma, part: str) -> np.ndarray:
+    """``nabla_direction`` at the point ``p`` of the projected field
+    ``q -> proj_q(Fld(q))``: the one-point case of the oracle."""
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(direction, dtype=float)
+    st = SampleState(p[None], F.source, F)
+    st.christoffel = np.asarray(gamma, dtype=float)[None]
+    disp = SampleState(stencil_points(p, u), F.source, F)
+    return _projected_derivative(st, disp, u[None], Fld.at(p)[None], Fld.at(disp.points), part)[0]
+
+
 def _stencil_tensor(F, E, Fld, p, kind):
     """``H nabla_u(V Fld) + V nabla_u(H Fld)`` with stencil derivatives."""
     fr = build_frame(F, p)
@@ -429,3 +443,62 @@ def test_one_or_two_samples_give_the_default_verdicts():
         report = run_scenario(path, samples=count)
         assert report.sample_count == count
         assert _verdicts(report) == expected
+
+
+# ---------------------------------------------------------------------------
+# Verdicts that do not depend on the signs of the frame vectors
+# ---------------------------------------------------------------------------
+
+_SIGN_SCENARIOS = {
+    name: load_scenario(resolve_scenario_path(name)).scenario
+    for name in ("example-i", "example-ii", "h2xh2",
+                 str(Path(__file__).parents[1] / "perfbench/scenarios/warped-product.yaml"))
+}
+_SIGN_POINTS = 60
+
+
+def _flip(state, part, flip):
+    basis = getattr(state, part)
+    setattr(state, part, np.where(flip[..., None], -basis, basis))
+
+
+def _point_checks(sc, flips=None) -> str:
+    """Machine records of the check table's sample-point checks at 60 points
+    of the scenario's seed.  ``flips`` holds boolean arrays that mark the
+    basis vectors to negate before any check reads them: the vertical and
+    the horizontal ones, then the vertical ones of each state at the
+    stencil points along a vertical basis vector."""
+    rngs = [np.random.default_rng(x) for x in np.random.SeedSequence(sc.sampling.seed).spawn(5)]
+    state = SampleState(sample_points(sc.M.domain, _SIGN_POINTS, rngs[0]), sc.M, sc.F, sc.J, sc.f)
+    if flips is not None:
+        vertical, horizontal, *stencils = flips
+        _flip(state, "vertical", vertical)
+        _flip(state, "horizontal", horizontal)
+        for disp, flip in zip(state.vertical_stencils, stencils):
+            _flip(disp, "vertical", flip)
+    entries = [e for e in CHECKS if not e[0].startswith("geodesic-")]
+    reports = _run_checks(entries, _Run(sc, sc.tolerances, rngs, state, {}))
+    return json.dumps([r.to_dict() for r in reports])
+
+
+_UNFLIPPED = {name: _point_checks(sc) for name, sc in _SIGN_SCENARIOS.items()}
+
+
+@st.composite
+def _sign_patterns(draw):
+    name = draw(st.sampled_from(sorted(_SIGN_SCENARIOS)))
+    sc = _SIGN_SCENARIOS[name]
+    k, n, N = sc.M.dim - sc.N.dim, sc.N.dim, _SIGN_POINTS
+    shapes = [(N, k), (N, n)] + [(len(STENCIL_OFFSETS) * N, k)] * k
+    return name, [draw(arrays(bool, shape)) for shape in shapes]
+
+
+@settings(max_examples=20, deadline=None)
+@given(_sign_patterns())
+def test_point_checks_do_not_depend_on_frame_signs(pattern):
+    # Negation is exact in IEEE arithmetic, and every check reads the frame
+    # vectors through sign-symmetric products, the sign rule or the
+    # basicness test's alignment with the base vector, so each record,
+    # residuals and details included, is the same to the bit.
+    name, flips = pattern
+    assert _point_checks(_SIGN_SCENARIOS[name], flips) == _UNFLIPPED[name]

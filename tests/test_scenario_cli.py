@@ -154,6 +154,28 @@ def test_cli_overflow_exits_2_without_traceback(tmp_path):
     assert "DomainError" in proc.stderr and "overflows" in proc.stderr
 
 
+def test_non_finite_residual_fails_without_warning(tmp_path):
+    # A phi entry of 1e300 on a curved metric makes inf - inf inside
+    # pq-identities: the check fails with the reason, and no numpy
+    # RuntimeWarning escapes.
+    doc = yaml.safe_load(yaml.safe_dump(_H2XH2))
+    doc["phi"] = [["0", "1e300", "0", "0"], ["-1", "0", "0", "0"],
+                  ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "riemsub", "check",
+         str(_write(tmp_path, doc)), "--format", "machine"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    pq = checks["pq-identities"]
+    assert pq["max_residual"] == "nan" and pq["verdict"] == "fail"
+    assert pq["details"]["reason"] == "non-finite residual"
+    assert checks["structure"]["details"]["reason"] == "non-finite residual"
+
+
 def _with(doc, **changes):
     out = yaml.safe_load(yaml.safe_dump(doc))
     out.update(changes)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import metric_norm
+from conftest import metric_norm, one_row
 
 from riemsub.expr import parse
 from riemsub.geometry import (
@@ -16,15 +16,16 @@ from riemsub.presets import (
     map_example_i_components,
     map_example_ii_components,
 )
+from riemsub.state import _oneill
 from riemsub.submersion import (
     RankDeficiencyError,
     SmoothMap,
+    _sff,
     build_frame,
     check_decompositions,
     check_skew,
     check_submersion,
     fiber_character,
-    second_fundamental_form,
     tensor_A,
     tensor_T,
 )
@@ -228,26 +229,28 @@ def test_check_decompositions(map_i, map_ii, samples_ii):
 
 def test_sff_example_i_horizontal_pairs(map_i):
     p = np.array([0.3, -0.4, 0.2, 0.6])
-    fr = build_frame(map_i, p)
-    for x in fr.horizontal:
-        for y in fr.horizontal:
-            out = second_fundamental_form(map_i, x, y, p)
+    st = one_row(p, map_i.source, map_i)
+    for x in st.horizontal[0]:
+        for y in st.horizontal[0]:
+            out = _sff(st, x[None], y[None])[0]
             assert abs(out).max() < 1e-12
 
 
 def test_sff_vertical_identity(map_ii, samples_ii):
     # (nabla push)(V, W) = -push(T_V W) for vertical V, W.
     for p in samples_ii[:15]:
-        fr = build_frame(map_ii, p)
-        v = fr.vertical[0]
-        lhs = second_fundamental_form(map_ii, v, v, p)
-        rhs = -map_ii.jacobian_at(p) @ tensor_T(map_ii, v, v, p, fr)
+        st = one_row(p, map_ii.source, map_ii)
+        v = st.vertical[:, 0]
+        lhs = _sff(st, v, v)[0]
+        rhs = -map_ii.jacobian_at(p) @ _oneill(st, "T", v, v)[0]
         assert abs(lhs - rhs).max() < 1e-8
 
 
 def test_sff_zero_field(map_ii):
     zero = VectorField.constant([0.0, 0.0, 0.0, 0.0])
-    out = second_fundamental_form(map_ii, zero, zero, (1.0, 0.5, 0.2, 0.1))
+    p = (1.0, 0.5, 0.2, 0.1)
+    st = one_row(p, map_ii.source, map_ii)
+    out = _sff(st, zero.at(p)[None], zero.at(p)[None], zero.jacobian_at(p)[None])[0]
     assert abs(out).max() == 0.0
 
 
