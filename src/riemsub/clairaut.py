@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import DomainError, Expr, ExprArray, Func
+from .expr import DomainError, Expr, ExprArray, Func, blocks
 from .geometry import GeodesicTrajectory, ManifoldSpec
 from .hermitian import AlmostComplexField, _nabla_phi
 from .report import CheckReport, Tolerances
@@ -154,21 +154,30 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     """Per-sample ``sin(theta)`` and the conserved quantity ``e^f sin(theta)``.
 
     ``theta`` is the angle between the velocity and the horizontal space,
-    computed from the splitting: ``sin(theta) = |vertical part| / |velocity|``,
-    at all samples from one state.  Raises :class:`DomainError` where ``e^f``
-    overflows.
+    computed from the splitting: ``sin(theta) = |vertical part| / |velocity|``.
+    The work runs in blocks of samples (``expr.blocks``), one state each, and
+    in this order: the speeds at every sample, then the vertical parts, then
+    ``e^f`` at every sample.  Raises :class:`ValueError` for a sample slower
+    than ``MIN_SPEED`` and :class:`DomainError` where ``e^f`` overflows.
     """
-    st = SampleState(traj.points, sc.M, sc.F)
-    speed = st.norm(traj.velocities)
+    points, velocities = traj.points, traj.velocities
+    speed = np.empty(len(points))
+    for b in blocks(len(points)):
+        speed[b] = metric_norms(sc.M.metric_at(points[b]), velocities[b])
     if (speed < MIN_SPEED).any():
         raise ValueError("curve is not regular: zero velocity sample")
-    sin_theta = st.norm(st.vertical_part(traj.velocities)) / speed
+    sin_theta = speed  # overwritten in place: each speed is read once, here
+    for b in blocks(len(points)):
+        st = SampleState(points[b], sc.M, sc.F)
+        sin_theta[b] = st.norm(st.vertical_part(velocities[b])) / speed[b]
+    invariant = ExprArray(sc.f).eval(points)
     with np.errstate(over="raise"):
         try:
-            exp_f = np.exp(ExprArray(sc.f).eval(st.points))
+            np.exp(invariant, out=invariant)
         except FloatingPointError:
             raise DomainError("exponential overflows", Func("exp", sc.f)) from None
-    return sin_theta, exp_f * sin_theta
+    invariant *= sin_theta
+    return sin_theta, invariant
 
 
 def invariant_drift(invariant):

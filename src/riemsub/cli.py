@@ -423,5 +423,16 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def entry(argv=None) -> int:
+    """The ``riemsub`` command: :func:`main`, with an error that it does not
+    handle printed as one line and exit code 2, not a traceback and exit
+    code 1, which means a failed check."""
+    try:
+        return main(argv)
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

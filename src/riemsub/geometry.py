@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Add, Const, Div, Expr, ExprArray, ExprError, Mul, Neg, Sub, Var, is_zero, parse, partials
+from .expr import Add, Const, Div, Expr, ExprArray, ExprError, Mul, Neg, Sub, Var, blocks, is_zero, parse, partials
 
 RANK_RTOL = 1e-8
 _MAX_SAMPLE_TRIES = 10_000
@@ -355,12 +355,16 @@ class GeodesicTrajectory:
 
     @classmethod
     def from_samples(cls, M: ManifoldSpec, s, points, velocities, step):
-        """Wrap explicit samples (e.g. an analytic curve) with energy data."""
+        """Wrap explicit samples (e.g. an analytic curve) with energy data,
+        computed in blocks of samples (``expr.blocks``)."""
         s = np.asarray(s, dtype=float)
         points = np.asarray(points, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
-        # ``v @ g @ v`` per sample, bit for bit (einsum sums in another order)
-        energies = (velocities[:, None] @ M.metric_at(points) @ velocities[..., None])[:, 0, 0]
+        energies = np.empty(len(velocities))
+        for b in blocks(len(velocities)):
+            # ``v @ g @ v`` per sample, bit for bit (einsum sums in another order)
+            v = velocities[b]
+            energies[b] = (v[:, None] @ M.metric_at(points[b]) @ v[..., None])[:, 0, 0]
         drift = float(abs(energies - energies[0]).max()) if len(energies) else 0.0
         return cls(s, points, velocities, float(step), energies, drift)
 

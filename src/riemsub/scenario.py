@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import yaml
@@ -24,6 +23,10 @@ from .hermitian import AlmostComplexField
 from .presets import build_preset
 from .report import Tolerances
 from .submersion import SmoothMap
+
+
+# The bundled scenarios, installed as files next to this module (package data).
+BUNDLED_DIR = Path(__file__).parent / "scenarios"
 
 
 class ScenarioValidationError(Exception):
@@ -267,16 +270,14 @@ def build_scenario(raw, origin: str = "<memory>") -> ScenarioBundle:
 
 
 def bundled_scenario_names() -> list:
-    files = resources.files("riemsub") / "scenarios"
-    return sorted(p.name[: -len(".yaml")] for p in files.iterdir() if p.name.endswith(".yaml"))
+    return sorted(p.stem for p in BUNDLED_DIR.glob("*.yaml"))
 
 
 def bundled_scenario_path(name: str) -> Path:
-    candidate = resources.files("riemsub") / "scenarios" / f"{name}.yaml"
-    with resources.as_file(candidate) as concrete:
-        if not concrete.exists():
-            raise ScenarioValidationError(f"no bundled scenario named {name!r}")
-        return concrete
+    path = BUNDLED_DIR / f"{name}.yaml"
+    if not path.is_file():
+        raise ScenarioValidationError(f"no bundled scenario named {name!r}")
+    return path
 
 
 def resolve_scenario_path(spec: str) -> Path:

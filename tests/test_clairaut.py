@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from riemsub.clairaut import (
     invariant_series,
     pq_curve_residual,
 )
-from riemsub.expr import parse
+from riemsub.expr import BLOCK, DomainError, ExprArray, parse
 from riemsub.geometry import (
     GeodesicTrajectory,
     box_domain,
@@ -32,7 +33,7 @@ from riemsub.geometry import (
 from riemsub.hermitian import AlmostComplexField, _nabla_phi
 from riemsub.presets import euclidean_manifold, twisted_phi
 from riemsub.scenario import load_scenario
-from riemsub.state import apply
+from riemsub.state import SampleState, apply
 from riemsub.submersion import SmoothMap, build_frame
 
 SQ2 = np.sqrt(2.0)
@@ -235,13 +236,18 @@ def _one_point_series(sc, traj):
     return np.array(sin_theta), np.array(invariant)
 
 
+def _series_curve(curve, scenario_ii):
+    """Scenario, start point and start velocity of a test curve: on the flat
+    example-ii or on the curved warped product."""
+    if curve == "example-ii":
+        return scenario_ii, (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2)
+    sc = ClairautScenario("warped", None, build_warped_map(), parse("x1", 4))
+    return sc, (0.1, 0.2, -0.1, 0.3), (0.4, 0.5, 0.3, -0.2)
+
+
 @pytest.mark.parametrize("curve", ["example-ii", "warped-product"])
 def test_invariant_series_matches_one_point_reference(curve, scenario_ii):
-    if curve == "example-ii":
-        sc, p0, v0 = scenario_ii, (1.0, 0.2, 0.1, -0.2), (0.1, 0.8, 0.3, 0.2)
-    else:
-        sc = ClairautScenario("warped", None, build_warped_map(), parse("x1", 4))
-        p0, v0 = (0.1, 0.2, -0.1, 0.3), (0.4, 0.5, 0.3, -0.2)
+    sc, p0, v0 = _series_curve(curve, scenario_ii)
     traj = geodesic_integrate(sc.M, p0, v0, 1.0, 1e-3)
     for got, want in zip(invariant_series(sc, traj), _one_point_series(sc, traj)):
         assert got.shape == want.shape == (len(traj),)
@@ -256,6 +262,72 @@ def test_invariant_series_rejects_a_slow_sample_mid_curve(scenario_ii):
     traj = GeodesicTrajectory.from_samples(scenario_ii.M, s, points, velocities, 1e-3)
     with pytest.raises(ValueError, match="curve is not regular"):
         invariant_series(scenario_ii, traj)
+
+
+def _whole_series(sc, traj):
+    """The invariant series from one state over the whole trajectory, with
+    ``e^f`` from a list of per-point values: the oracle of the blocks."""
+    st = SampleState(traj.points, sc.M, sc.F)
+    sin_theta = st.norm(st.vertical_part(traj.velocities)) / st.norm(traj.velocities)
+    exp_f = np.exp(np.array([ExprArray(sc.f).values(p) for p in traj.points]).reshape(-1))
+    return sin_theta, exp_f * sin_theta
+
+
+@pytest.mark.parametrize("curve", ["example-ii", "warped-product"])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_blocks_match_the_whole_trajectory_bit_for_bit(curve, n, scenario_ii):
+    sc, p0, v0 = _series_curve(curve, scenario_ii)
+    traj = geodesic_integrate(sc.M, p0, v0, (n - 1) * 1e-3, 1e-3)
+    assert len(traj) == n
+    for got, want in zip(invariant_series(sc, traj), _whole_series(sc, traj)):
+        assert got.tobytes() == want.tobytes()
+    v = traj.velocities
+    energies = (v[:, None] @ sc.M.metric_at(traj.points) @ v[..., None])[:, 0, 0]
+    assert traj.energies.tobytes() == energies.tobytes()
+    assert traj.energy_drift == float(abs(energies - energies[0]).max())
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("exp-overflow", "exponential overflows"),
+    ("singular-map", "division by zero"),
+])
+def test_a_slow_sample_in_a_later_block_is_reported_first(fault, message):
+    # Block 1 holds a sample where e^f overflows or the map is singular,
+    # block 2 a sample with zero velocity: the speeds are tested first.
+    sc = build_scenario_ii("1000 * x3")
+    n = BLOCK + 10
+    s = 1e-3 * np.arange(n)
+    points = np.tile([1.0, 0.0, 1.0, 0.0], (n, 1))
+    points[:, 1] = s
+    if fault == "singular-map":
+        sc.f = parse("0", 4)
+        points[3, :2] = 0.0
+    velocities = np.tile([0.0, 1.0, 0.0, 0.0], (n, 1))
+    velocities[BLOCK + 5] = 0.0
+    traj = GeodesicTrajectory.from_samples(sc.M, s, points, velocities, 1e-3)
+    with pytest.raises(ValueError, match="curve is not regular"):
+        invariant_series(sc, traj)
+    traj.velocities[BLOCK + 5] = [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(DomainError, match=message):
+        invariant_series(sc, traj)
+
+
+def test_invariant_series_memory_is_its_output_plus_one_block(scenario_ii):
+    n = 20001
+    s = 1e-4 * np.arange(n)
+    v0 = np.array([0.1, 0.8, 0.3, 0.2])
+    points = np.array([1.0, 0.2, 0.1, -0.2]) + s[:, None] * v0
+    traj = GeodesicTrajectory.from_samples(scenario_ii.M, s, points, np.tile(v0, (n, 1)), 1e-4)
+    invariant_series(scenario_ii, traj)  # compiles the arrays it evaluates
+    tracemalloc.start()
+    try:
+        invariant_series(scenario_ii, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The two output arrays, plus one block's states (about 0.1 MB): not
+    # the 12 MB that one state over every sample takes.
+    assert peak < 2 * 8 * n + 2**19
 
 
 def test_geodesic_conditions_on_integrated_geodesics(scenario_i, scenario_ii):

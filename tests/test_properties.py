@@ -17,6 +17,7 @@ check's record the same to the bit.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from riemsub import expr
 from riemsub.expr import (
+    BLOCK,
     FD_REL_STEP,
     Div,
     DomainError,
@@ -114,6 +117,19 @@ def test_compiled_matches_tree_walk_bit_for_bit(e, p):
     # The derivative builder: the same trees along a new last axis.
     reference = _outcome(lambda: [x.eval(p) for x in entries[1:]])
     assert _outcome(lambda: ExprArray((e,)).diff(3).eval(p)) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, st.lists(points, min_size=1, max_size=7), st.sampled_from([1, 2, 3, BLOCK]))
+def test_stacked_eval_is_each_points_values_bit_for_bit(e, stack, block):
+    # A stack streams each point's values in blocks of ``block`` points:
+    # the values of every point, or the error of the first failing one.
+    arr = ExprArray((e,) + tuple(e.diff(i) for i in (1, 2, 3)))
+    outcomes = [_outcome(lambda: arr.values(p)) for p in stack]
+    errors = [o for o in outcomes if o[0] != "value"]
+    expected = errors[0] if errors else ("value", b"".join(o[1] for o in outcomes))
+    with mock.patch.object(expr, "BLOCK", block):
+        assert _outcome(lambda: arr.eval(np.array(stack))) == expected
 
 
 @settings(max_examples=300, deadline=None)

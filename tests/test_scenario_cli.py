@@ -1,7 +1,9 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ import yaml
 import riemsub
 from riemsub import clairaut, cli, geometry, state, submersion
 from riemsub.cli import CHECKS, main, run_scenario
+from riemsub.expr import BLOCK
 from riemsub.scenario import (
     ScenarioValidationError,
     bundled_scenario_names,
+    bundled_scenario_path,
     load_scenario,
     resolve_scenario_path,
 )
@@ -57,6 +61,18 @@ def test_bundled_scenarios_present():
     assert "example-ii" in names
     assert "h2xh2" in names
     assert "h2xh2-wrong-exponent" in names
+    # Each name is a file that stays after the lookup returns.
+    for name in names:
+        path = bundled_scenario_path(name)
+        assert path.is_file() and path.name == f"{name}.yaml"
+        assert resolve_scenario_path(name) == path
+    with pytest.raises(ScenarioValidationError, match="^no bundled scenario named 'nope'$"):
+        bundled_scenario_path("nope")
+    with pytest.raises(ScenarioValidationError) as err:
+        resolve_scenario_path("nope")
+    assert str(err.value) == (
+        f"'nope' is neither a file nor a bundled scenario (bundled: {', '.join(names)})"
+    )
 
 
 def test_load_bundled_example_ii():
@@ -338,6 +354,28 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, message):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+def test_an_unhandled_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # Exit code 1 means a failed check, so a crash must not read as one.
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_skew", crash)
+    argv = ["check", str(_write(tmp_path, MINIMAL))]
+    assert cli.entry(argv) == 2
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
+    # main itself still raises: a caller such as the benchmark harness
+    # raises its own exceptions through it.
+    with pytest.raises(RuntimeError, match="boom"):
+        main(argv)
+    # Both command-line entry points go through entry.
+    monkeypatch.setattr(sys, "argv", ["riemsub"] + argv)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("riemsub", run_name="__main__")
+    assert exit_.value.code == 2
+    pyproject = (Path(_ROOT) / "pyproject.toml").read_text()
+    assert '\nriemsub = "riemsub.cli:entry"\n' in pyproject
 
 
 def _run_cli(argv):
@@ -676,7 +714,8 @@ def test_each_sample_frame_is_built_once(monkeypatch):
     # test reads too), 250 for the 50 curve windows (five samples each) and
     # 10,005 for the invariant series of the five 2001-sample geodesics.
     # Each of those is one stacked build: one base state, two stencil
-    # states, two window states and one series state per geodesic.
+    # states, two window states and, per geodesic, one series state for
+    # each block of samples.
     built, drawn, in_series = [], [], []
     original_bases, original_points = state.vertical_bases, cli.sample_points
     original_series = clairaut.invariant_series
@@ -700,8 +739,9 @@ def test_each_sample_frame_is_built_once(monkeypatch):
     monkeypatch.setattr(cli, "sample_points", recorded_points)
     monkeypatch.setattr(clairaut, "invariant_series", flagged_series)
     run_scenario(resolve_scenario_path("example-ii"))
-    assert len(built) == 18
-    assert [len(p) for p, series in built if series] == [2001] * 5
+    series_blocks = [BLOCK] * (2001 // BLOCK) + [2001 % BLOCK]
+    assert len(built) == 13 + 5 * len(series_blocks)
+    assert [len(p) for p, series in built if series] == series_blocks * 5
     points = np.concatenate([p for p, _ in built])
     assert len(points) == 12055
     (samples,) = drawn
