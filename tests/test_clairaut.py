@@ -294,13 +294,12 @@ def test_blocks_match_the_whole_trajectory_bit_for_bit(curve, n, scenario_ii):
 def test_a_slow_sample_in_a_later_block_is_reported_first(fault, message):
     # Block 1 holds a sample where e^f overflows or the map is singular,
     # block 2 a sample with zero velocity: the speeds are tested first.
-    sc = build_scenario_ii("1000 * x3")
+    sc = build_scenario_ii("1000 * x3" if fault == "exp-overflow" else "0")
     n = BLOCK + 10
     s = 1e-3 * np.arange(n)
     points = np.tile([1.0, 0.0, 1.0, 0.0], (n, 1))
     points[:, 1] = s
     if fault == "singular-map":
-        sc.f = parse("0", 4)
         points[3, :2] = 0.0
     velocities = np.tile([0.0, 1.0, 0.0, 0.0], (n, 1))
     velocities[BLOCK + 5] = 0.0
