@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -73,6 +74,8 @@ from .submersion import (
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+# What a shell reports for a command that SIGPIPE ended: 128 + 13.
+EXIT_CLOSED_PIPE = 141
 
 
 # Everything derived for anti-invariant submersions of a manifold with
@@ -426,9 +429,18 @@ def main(argv=None) -> int:
 def entry(argv=None) -> int:
     """The ``riemsub`` command: :func:`main`, with an error that it does not
     handle printed as one line and exit code 2, not a traceback and exit
-    code 1, which means a failed check."""
+    code 1, which means a failed check.  A stdout whose reader has gone
+    (``riemsub ... | head -1``) ends the command quietly with
+    ``EXIT_CLOSED_PIPE``."""
     try:
-        return main(argv)
+        code = main(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's advice: point stdout at devnull, so that the flush at
+        # exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -343,12 +343,13 @@ class ExprArray:
     floats; at a stack of points, any 2-D array-like ``(N, m)``, it returns
     the values at each point stacked along a leading axis of length ``N``,
     streamed into the array point by point (the first failing point raises).
-    ``diff`` builds the array of partial derivatives.  The function is generated
-    at the first evaluation, or by ``compile``: straight-line Python that computes each
-    structurally distinct subexpression once, with the same float operation
-    per node.  If it raises, the entries are evaluated again by the per-node
-    walk, which raises the reference error (a :class:`DomainError` naming
-    the first singular node).  An array of constants is stored instead.
+    ``diff`` builds the array of partial derivatives.  The function is
+    generated at the first evaluation: straight-line Python from ``_walk``,
+    which computes each structurally distinct subexpression once, with the
+    same float operation per node.  If it raises, the entries are evaluated
+    again by the per-node walk, which raises the reference error (a
+    :class:`DomainError` naming the first singular node).  An array of
+    constants is stored instead.
     """
 
     __slots__ = ("entries", "shape", "_const", "_fn")
@@ -385,19 +386,12 @@ class ExprArray:
         flat = np.array([e.diff(i + 1) for e in self.entries for i in range(dim)], dtype=object)
         return ExprArray(flat.reshape(self.shape + (dim,)))
 
-    def compile(self) -> "ExprArray":
-        """Generate the compiled function now, not at the first evaluation;
-        returns the array."""
-        if self._fn is None:
-            self._fn = _compile(self.entries)
-        return self
-
     def values(self, point):
         """Entry values at one point, a sequence of Python floats in entry
         order, without ``eval``'s array; the per-node walk raises the error.
         ``point`` is any sequence of floats."""
         if self._fn is None:
-            self.compile()
+            self._fn = _compile(self.entries)
         try:
             return self._fn(point)
         except (ArithmeticError, ValueError):
@@ -415,23 +409,36 @@ def _flatten(nested, entries: list) -> tuple:
     return (len(nested),) + (shapes.pop() if shapes else ())
 
 
-def _compile(entries):
-    """Straight-line function of a point returning the tuple of entry values."""
+def _walk(entries, var, prefix: str):
+    """Straight-line code for ``entries``: its assignment lines, the operand
+    (a name or a literal) holding each entry, and the non-finite constants
+    it names.  ``var(index)`` is the code of ``x<index>``, used as it is if
+    it is a name; temporaries are ``<prefix>0``, ``<prefix>1``, ...  Each
+    distinct subexpression is computed once, by its node's float operation.
+    Only exact IEEE identities fold: an operation on finite literals is done
+    here by ``eval`` (unless it raises), and ``t - 0.0``, ``t + -0.0`` and
+    ``-0.0 + t`` are ``t`` (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
+    """
     lines = []
     names = {}  # structural key -> variable holding that subexpression
     constants = {}
 
+    def literal(value: float) -> str:
+        if math.isfinite(value):
+            return f"({value!r})"
+        name = f"_c{len(constants)}"
+        constants[name] = value
+        return name
+
     def operand(e) -> str:
         guard = None
         if isinstance(e, Const):
-            if math.isfinite(e.value):
-                return f"({e.value!r})"
-            name = f"_c{len(constants)}"
-            constants[name] = e.value
-            return name
+            return literal(e.value)
         if isinstance(e, Var):
-            key = e.index
-            code = f"_float(p[{e.index - 1}])"
+            code = var(e.index)
+            if code.isidentifier():
+                return code
+            key = (Var, code)
         elif isinstance(e, Div):
             # Denominator first, as in Div.eval.
             b = operand(e.b)
@@ -454,19 +461,39 @@ def _compile(entries):
             code = f"_{e.name}({key[1]})"
         else:
             raise TypeError(f"cannot compile {type(e).__name__}")
+        if key[0] is not Var and all(a[0] == "(" for a in key[1:]):  # finite literals
+            try:
+                return literal(e.eval(()))
+            except ExprError:
+                pass
+        if (key[0] is Sub and key[2] == "(0.0)") or (key[0] is Add and key[2] == "(-0.0)"):
+            return key[1]
+        if key[0] is Add and key[1] == "(-0.0)":
+            return key[2]
         name = names.get(key)
         if name is None:
-            name = names[key] = f"t{len(names)}"
+            name = names[key] = f"{prefix}{len(names)}"
             if guard is not None:
-                lines.append(f"    {guard}")
-            lines.append(f"    {name} = {code}")
+                lines.append(guard)
+            lines.append(f"{name} = {code}")
         return name
 
     results = [operand(e) for e in entries]
-    source = "def _f(p):\n" + "\n".join(lines) + f"\n    return ({', '.join(results)},)\n"
+    return lines, results, constants
+
+
+def _define(source: str, constants: dict):
+    """The function ``_f`` of ``source``, over the compiled globals and ``constants``."""
     namespace = dict(_COMPILED_GLOBALS, **constants)
     exec(compile(source, "<ExprArray>", "exec"), namespace)
     return namespace["_f"]
+
+
+def _compile(entries):
+    """Straight-line function of a point returning the tuple of entry values."""
+    lines, results, constants = _walk(entries, lambda i: f"_float(p[{i - 1}])", "t")
+    body = "".join(f"    {line}\n" for line in lines)
+    return _define(f"def _f(p):\n{body}    return ({', '.join(results)},)\n", constants)
 
 
 @functools.lru_cache(maxsize=32)

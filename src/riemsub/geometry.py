@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Add, Const, Div, Expr, ExprArray, ExprError, Mul, Neg, Sub, Var, blocks, is_zero, parse, partials
+from .expr import Add, Const, Div, Expr, ExprArray, ExprError, Mul, Neg, Sub, Var, _define, _walk, blocks, is_zero, parse, partials
 
 RANK_RTOL = 1e-8
 _MAX_SAMPLE_TRIES = 10_000
@@ -68,15 +68,22 @@ class SamplingDomain:
     def dim(self) -> int:
         return len(self.intervals)
 
+    @functools.cached_property
+    def _tube_values(self) -> ExprArray:
+        return ExprArray([tube.expr for tube in self.tubes])
+
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        for i, (lo, hi) in enumerate(self.intervals):
-            if not (lo <= p[i] <= hi):
+        """Whether ``point`` (floats) is in the box and outside every tube;
+        if the tubes' compiled array raises, ``Expr.eval`` raises per tube."""
+        p = point.tolist() if isinstance(point, np.ndarray) else point
+        for (lo, hi), x in zip(self.intervals, p):
+            if not lo <= x <= hi:
                 return False
-        for tube in self.tubes:
-            if tube.expr.eval(p) < tube.radius:
-                return False
-        return True
+        try:
+            values = self._tube_values.values(p) if self.tubes else ()
+        except ExprError:
+            values = (tube.expr.eval(p) for tube in self.tubes)
+        return not any(value < tube.radius for tube, value in zip(self.tubes, values))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` points uniformly, rejecting excluded ones."""
@@ -119,8 +126,9 @@ class ManifoldSpec:
         self.is_diagonal = all(is_zero(self.metric[i][j]) for i in range(dim) for j in range(dim) if i != j)
         # A constant metric is checked for invertibility once (christoffel).
         self._invertible = False
-        # The geodesic rate of a curved diagonal metric (see _rate).
-        self._geodesic_rate = None
+        # The geodesic rate of a curved diagonal metric (see _rate) and its
+        # RK4 loop (see _rk4_loop).
+        self._geodesic_rate = self._rk4 = None
         if not self.is_flat_constant:
             # What christoffel needs at a point, as one array: the metric
             # entries (the diagonal alone for a diagonal metric), then
@@ -145,9 +153,11 @@ class ManifoldSpec:
                     ]
                     total = functools.reduce(Add, terms) if terms else Const(0.0)
                     accel.append(Neg(Div(Mul(Const(0.5), total), g[k])))
-                # Compiled here, at load: compiled at the first RK4 stage it
-                # left the warped check's peak memory 0.09 MB higher.
-                self._geodesic_rate = ExprArray(g + accel).compile()
+                self._geodesic_rate = ExprArray(g + accel)
+                # Generated here, at load: generated at the first integration,
+                # the compiler's transient (about 0.33 MB on the warped metric)
+                # left the warped check's peak memory about 0.1 MB higher.
+                self._rk4 = _rk4_loop(self)
 
     def metric_at(self, point) -> np.ndarray:
         return self._metric.eval(point)
@@ -427,6 +437,43 @@ def _rk4_step(M: ManifoldSpec, y: np.ndarray, step: float) -> np.ndarray:
     return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_loop(M: ManifoldSpec):
+    """``loop(y, step, n, out, contains)``: ``n`` RK4 steps of the state ``y``
+    (``2m`` floats) on a curved diagonal metric, on Python floats, from the
+    code walk of ``M._geodesic_rate``.  Sample k goes to ``out[k]``; it
+    returns ``(n, None)``, ``(k, row)`` for the first row at step k that
+    ``contains`` rejects, or None at a diagonal ``_regular_diagonal``
+    rejects.  Every value has the bits of ``_rk4_step``: the weighted sum
+    ``((k1 + 2k2) + 2k3) + k4`` starts at ``-0.0``, and ``-0.0 + t`` is ``t``."""
+    m = M.dim
+    lines, results, constants = _walk(M._geodesic_rate.entries, lambda i: f"z{i - 1}", "r")
+    y, z, s, a = ([f"{c}{i}" for i in range(2 * m)] for c in "yzsa")
+    k = z[m:] + results[m:]  # the rate (v, accel) at the stage state z
+    Y, Z, S, A = (", ".join(names) for names in (y, z, s, a[:m]))
+    source = [
+        "def _f(y, step, n, out, contains):",
+        f"    {Y} = y",
+        "    h, h6 = 0.5 * step, step / 6.0",
+        "    for j in range(1, n + 1):",
+        f"        {Z} = {Y}",
+        f"        {S} = {', '.join(['-0.0'] * 2 * m)}",
+        "        for c, w in ((h, 1.0), (h, 2.0), (step, 2.0), (0.0, 1.0)):",
+        *(f"            {line}" for line in lines),
+        f"            {A} = {', '.join(f'abs({g})' for g in results[:m])}",
+        f"            if not ({' and '.join(f'_isfinite({x})' for x in a[:m])}"
+        f" and min([{A}]) > _rtol * max([{A}, 1e-300])):",
+        "                return None",
+        f"            {S} = {', '.join(f'{u} + w * {v}' for u, v in zip(s, k))}",
+        f"            {Z} = {', '.join(f'{u} + c * {v}' for u, v in zip(y, k))}",
+        f"        {Y} = {', '.join(f'{u} + h6 * {v}' for u, v in zip(y, s))}",
+        f"        if not contains([{', '.join(y[:m])}]):",
+        f"            return j, [{Y}]",
+        f"        out[j] = {Y}",
+        "    return n, None\n",
+    ]
+    return _define("\n".join(source), dict(constants, _isfinite=math.isfinite, _rtol=RANK_RTOL))
+
+
 def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
     """Classical fixed-step RK4 solution of the geodesic equation, as the
     first-order system ``y = (x, v)``, ``y' = (v, -Gamma(x)(v, v))``.
@@ -444,6 +491,9 @@ def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
     integration; a row leaves the stack when it finishes or exits, and one
     live row steps as ``(2m,)``.  An error in the metric (an
     :class:`ExprError`, a :class:`SingularMetricError`) ends the whole call.
+    On a curved diagonal metric each row runs instead through the metric's
+    ``_rk4_loop``, with the same bits; if a loop stops other than at a
+    domain exit, the whole call is stepped as above.
     """
     starts = np.concatenate([p0, v0], axis=-1, dtype=float)
     stacked = starts.ndim == 2
@@ -470,6 +520,16 @@ def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
     for r in [r for r in samples if len(samples[r]) == 1]:
         results[r] = trajectory(r, 1)
     live = list(samples)
+    if M._rk4 is not None and live:
+        try:
+            ends = {r: M._rk4(rows[0].tolist(), step, len(rows) - 1, rows, M.domain.contains) for r, rows in samples.items()}
+        except (ArithmeticError, ValueError, ExprError):  # the rate's or a tube's
+            ends = {}
+        if ends and None not in ends.values():
+            # In the order the numpy path finishes rows: by step, then by row.
+            for r, (k, exit_row) in sorted(ends.items(), key=lambda end: (end[1][0], end[0])):
+                results[r] = trajectory(r, k + 1) if exit_row is None else DomainExitError(trajectory(r, k), exit_row[:m], k * step)
+            live = []
     y = starts[live]
     k = 0  # steps taken by every live row
     while live:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -483,6 +485,55 @@ def test_stacked_rows_match_one_row_and_reference_rk4_bit_for_bit(manifold, rand
         assert got.s.tobytes() == one.s.tobytes() == (step * np.arange(len(points))).tobytes()
         assert got.energies.tobytes() == one.energies.tobytes()
     assert {DomainExitError, ValueError} <= kinds
+
+
+# A curved diagonal metric with an exclusion tube: starts in the tube are
+# refused, and curves leave through the box or into the tube.
+_TUBE_METRIC = ManifoldSpec(
+    3,
+    [[parse(e if i == j else "0", 3) for j, e in enumerate(["exp(x3)", "1 + x1^2", "1 / (1 + x2^2)"])] for i in range(3)],
+    box_domain(3, -1.0, 1.0, tubes=[ExclusionTube(parse("sqrt(x1^2 + x2^2)", 3), 0.2)]),
+)
+_tube_rows = st.lists(
+    st.tuples(st.tuples(*[_unit] * 3), st.tuples(*[_unit] * 3), st.integers(0, 40)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tube_rows, st.floats(1e-3, 0.05))
+def test_compiled_loop_matches_reference_rk4_bit_for_bit(rows, step):
+    M = _TUBE_METRIC
+    assert M._geodesic_rate is not None
+    p0, v0, n = (np.array(c) for c in zip(*rows))
+    # Every row runs through the loop: the numpy path's rate is never called.
+    with mock.patch.object(geometry, "_rate", side_effect=AssertionError("numpy path")):
+        results = geodesic_integrate(M, p0, v0, n * step, step)
+    for p, v, n_steps, got in zip(p0, v0, n, results):
+        if isinstance(got, ValueError):
+            assert not M.domain.contains(p)
+            continue
+        points, velocities, exit_point, s = _reference_rk4(M, p, v, n_steps, step, _acceleration(M))
+        if exit_point is None:
+            assert isinstance(got, geometry.GeodesicTrajectory)
+        else:
+            assert isinstance(got, DomainExitError)
+            assert got.exit_point.tobytes() == exit_point.tobytes()
+            assert got.s == s
+            got = got.trajectory
+        assert got.points.tobytes() == points.tobytes()
+        assert got.velocities.tobytes() == velocities.tobytes()
+        assert got.s.tobytes() == (step * np.arange(len(points))).tobytes()
+
+
+def test_tube_error_in_the_loop_is_raised_by_the_numpy_path():
+    # ln(x1) cannot be evaluated once the second curve reaches x1 <= 0: the
+    # loop hands the call to the numpy path, which raises the tube's error.
+    tube = ExclusionTube(parse("ln(x1)", 3), -10.0)
+    M = ManifoldSpec(3, _TUBE_METRIC.metric, box_domain(3, -1.0, 1.0, tubes=[tube]))
+    with mock.patch.object(geometry, "_rate", wraps=geometry._rate) as rate:
+        with pytest.raises(DomainError, match=r"logarithm of a non-positive value in ln\(x1\)"):
+            geodesic_integrate(M, [(0.5, 0.2, 0.3), (0.5, 0.0, 0.0)], [(0.0, 0.1, 0.1), (-1.0, 0.0, 0.0)], 1.0, 0.01)
+    assert rate.called
 
 
 def test_stacked_metric_error_ends_the_call():
