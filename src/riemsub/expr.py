@@ -409,6 +409,11 @@ def _flatten(nested, entries: list) -> tuple:
     return (len(nested),) + (shapes.pop() if shapes else ())
 
 
+# The literal operands that leave the other operand's float unchanged.
+_RIGHT_UNITS = {Sub: "(0.0)", Add: "(-0.0)", Mul: "(1.0)", Div: "(1.0)"}
+_LEFT_UNITS = {Add: "(-0.0)", Mul: "(1.0)"}
+
+
 def _walk(entries, var, prefix: str):
     """Straight-line code for ``entries``: its assignment lines, the operand
     (a name or a literal) holding each entry, and the non-finite constants
@@ -416,8 +421,9 @@ def _walk(entries, var, prefix: str):
     it is a name; temporaries are ``<prefix>0``, ``<prefix>1``, ...  Each
     distinct subexpression is computed once, by its node's float operation.
     Only exact IEEE identities fold: an operation on finite literals is done
-    here by ``eval`` (unless it raises), and ``t - 0.0``, ``t + -0.0`` and
-    ``-0.0 + t`` are ``t`` (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
+    here by ``eval`` (unless it raises), and ``t - 0.0``, ``t + -0.0``,
+    ``-0.0 + t``, ``t * 1.0``, ``1.0 * t`` and ``t / 1.0`` are ``t``
+    (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
     """
     lines = []
     names = {}  # structural key -> variable holding that subexpression
@@ -466,9 +472,9 @@ def _walk(entries, var, prefix: str):
                 return literal(e.eval(()))
             except ExprError:
                 pass
-        if (key[0] is Sub and key[2] == "(0.0)") or (key[0] is Add and key[2] == "(-0.0)"):
+        if len(key) == 3 and key[2] == _RIGHT_UNITS.get(key[0]):
             return key[1]
-        if key[0] is Add and key[1] == "(-0.0)":
+        if len(key) == 3 and key[1] == _LEFT_UNITS.get(key[0]):
             return key[2]
         name = names.get(key)
         if name is None:

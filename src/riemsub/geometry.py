@@ -126,8 +126,8 @@ class ManifoldSpec:
         self.is_diagonal = all(is_zero(self.metric[i][j]) for i in range(dim) for j in range(dim) if i != j)
         # A constant metric is checked for invertibility once (christoffel).
         self._invertible = False
-        # The geodesic rate of a curved diagonal metric (see _rate) and its
-        # RK4 loop (see _rk4_loop).
+        # The geodesic rate of a curved diagonal metric and the RK4 loop
+        # generated from it (see _rk4_loop).
         self._geodesic_rate = self._rk4 = None
         if not self.is_flat_constant:
             # What christoffel needs at a point, as one array: the metric
@@ -190,33 +190,35 @@ class ManifoldSpec:
 def _inverse(M: ManifoldSpec, point, g: np.ndarray) -> np.ndarray:
     """Inverse of the metric values ``g`` at ``point`` (one point or a
     stack), given by the diagonal ``(..., m)`` alone when ``M.is_diagonal``;
-    raises :class:`SingularMetricError` for the first singular one.
+    raises :class:`SingularMetricError` for the first singular one.  A
+    metric value that is not finite is singular.
 
-    A finite diagonal is tested and inverted entry by entry: the singular
-    values of a diagonal matrix are its ``|g_kk|`` and its inverse holds
-    ``1 / g_kk``, so this is the SVD test and ``np.linalg.inv`` without
-    LAPACK.  A diagonal with NaN or inf takes LAPACK's path.
+    A diagonal is tested and inverted entry by entry: the singular values of
+    a diagonal matrix are its ``|g_kk|`` and its inverse holds ``1 / g_kk``,
+    so this is the SVD test and ``np.linalg.inv`` without LAPACK.  The test
+    is written so that NaN or inf fails it.
     """
     if M.is_diagonal:
-        if np.isfinite(g).all():
-            a = abs(g)
-            singular = a.min(-1) <= RANK_RTOL * np.maximum(a.max(-1), 1e-300)
-            if singular.any():
-                raise SingularMetricError(np.reshape(point, (-1, M.dim))[np.argmax(singular)])
-            ginv = np.zeros(g.shape + (M.dim,))
-            k = np.arange(M.dim)
-            ginv[..., k, k] = 1.0 / g
-            return ginv
-        g = M.metric_at(point)
+        a = abs(g)
+        singular = ~(a.min(-1) > RANK_RTOL * np.maximum(a.max(-1), 1e-300))
+        if singular.any():
+            raise SingularMetricError(np.reshape(point, (-1, M.dim))[np.argmax(singular)])
+        ginv = np.zeros(g.shape + (M.dim,))
+        k = np.arange(M.dim)
+        ginv[..., k, k] = 1.0 / g
+        return ginv
     _check_invertible(g, point)
     return np.linalg.inv(g)
 
 
 def _check_invertible(g: np.ndarray, point) -> None:
     """Raise for the first of the metrics ``g`` (one, or a stack at the
-    points ``point``) that is numerically singular."""
+    points ``point``) that is numerically singular.  A metric with a NaN or
+    inf entry is singular; LAPACK's SVD is handed finite matrices only."""
+    finite = np.isfinite(g).all((-2, -1))
     scale = np.maximum(abs(np.diagonal(g, axis1=-2, axis2=-1)).max(-1), 1e-300)
-    singular = np.linalg.svd(g, compute_uv=False).min(-1) <= RANK_RTOL * scale
+    sigma = np.linalg.svd(np.where(finite[..., None, None], g, 0.0), compute_uv=False).min(-1)
+    singular = ~finite | (sigma <= RANK_RTOL * scale)
     if singular.any():
         raise SingularMetricError(np.reshape(point, (-1, g.shape[-1]))[np.argmax(singular)])
 
@@ -398,35 +400,11 @@ def step_count(length: float, step: float) -> int:
 
 def _rate(M: ManifoldSpec, z: np.ndarray) -> np.ndarray:
     """``(v, -Gamma(x)(v, v))`` for states ``z = (x, v)``, one ``(2m,)`` or
-    stacked ``(T, 2m)``.
-
-    A curved diagonal metric evaluates its ``_geodesic_rate`` array once per
-    row, on Python floats.  If that raises an :class:`ExprError`, or a
-    diagonal is not finite or is singular, the whole call takes the
-    :func:`christoffel` path instead, which raises its own error at its own
-    point.
-    """
+    stacked ``(T, 2m)``."""
     m = M.dim
-    if M._geodesic_rate is not None:
-        rows = z.tolist() if z.ndim == 2 else [z.tolist()]
-        try:
-            values = [M._geodesic_rate.values(y) for y in rows]
-        except ExprError:
-            values = None
-        if values is not None and all(_regular_diagonal(row[:m]) for row in values):
-            rate = np.array(values)
-            rate[:, :m] = z[..., m:]
-            return rate if z.ndim == 2 else rate[0]
     v = z[..., m:]
     accel = np.einsum("...kij,...i,...j->...k", christoffel(M, z[..., :m]), v, v)
     return np.concatenate([v, -accel], axis=-1)
-
-
-def _regular_diagonal(g) -> bool:
-    """Whether the diagonal metric ``g``, a sequence of floats, is finite and
-    passes the singular-value test of :func:`_inverse`."""
-    a = [abs(x) for x in g]
-    return all(map(math.isfinite, a)) and min(a) > RANK_RTOL * max(max(a), 1e-300)
 
 
 def _rk4_step(M: ManifoldSpec, y: np.ndarray, step: float) -> np.ndarray:
@@ -438,31 +416,38 @@ def _rk4_step(M: ManifoldSpec, y: np.ndarray, step: float) -> np.ndarray:
 
 
 def _rk4_loop(M: ManifoldSpec):
-    """``loop(y, step, n, out, contains)``: ``n`` RK4 steps of the state ``y``
+    """``loop(M, y, step, n, out)``: ``n`` RK4 steps of the state ``y``
     (``2m`` floats) on a curved diagonal metric, on Python floats, from the
     code walk of ``M._geodesic_rate``.  Sample k goes to ``out[k]``; it
-    returns ``(n, None)``, ``(k, row)`` for the first row at step k that
-    ``contains`` rejects, or None at a diagonal ``_regular_diagonal``
-    rejects.  Every value has the bits of ``_rk4_step``: the weighted sum
+    returns ``(n, None)``, or ``(k, row)`` for the first row at step k that
+    ``M.domain.contains`` rejects (a tube's error propagates).  Where a
+    stage cannot step, because the rate raises an :class:`ArithmeticError`
+    or :class:`ValueError` or its diagonal fails the singular test of
+    :func:`_inverse`, it calls :func:`_rk4_stop` at the stage point.  Every
+    value has the bits of ``_rk4_step``: the weighted sum
     ``((k1 + 2k2) + 2k3) + k4`` starts at ``-0.0``, and ``-0.0 + t`` is ``t``."""
     m = M.dim
     lines, results, constants = _walk(M._geodesic_rate.entries, lambda i: f"z{i - 1}", "r")
     y, z, s, a = ([f"{c}{i}" for i in range(2 * m)] for c in "yzsa")
     k = z[m:] + results[m:]  # the rate (v, accel) at the stage state z
-    Y, Z, S, A = (", ".join(names) for names in (y, z, s, a[:m]))
+    Y, Z, S, A, X = (", ".join(names) for names in (y, z, s, a[:m], z[:m]))
     source = [
-        "def _f(y, step, n, out, contains):",
+        "def _f(M, y, step, n, out):",
         f"    {Y} = y",
         "    h, h6 = 0.5 * step, step / 6.0",
+        "    contains = M.domain.contains",
         "    for j in range(1, n + 1):",
         f"        {Z} = {Y}",
         f"        {S} = {', '.join(['-0.0'] * 2 * m)}",
         "        for c, w in ((h, 1.0), (h, 2.0), (step, 2.0), (0.0, 1.0)):",
-        *(f"            {line}" for line in lines),
+        "            try:",
+        *(f"                {line}" for line in lines),
+        "            except (ArithmeticError, ValueError):",
+        f"                _stop(M, [{X}])",
         f"            {A} = {', '.join(f'abs({g})' for g in results[:m])}",
         f"            if not ({' and '.join(f'_isfinite({x})' for x in a[:m])}"
         f" and min([{A}]) > _rtol * max([{A}, 1e-300])):",
-        "                return None",
+        f"                _stop(M, [{X}])",
         f"            {S} = {', '.join(f'{u} + w * {v}' for u, v in zip(s, k))}",
         f"            {Z} = {', '.join(f'{u} + c * {v}' for u, v in zip(y, k))}",
         f"        {Y} = {', '.join(f'{u} + h6 * {v}' for u, v in zip(y, s))}",
@@ -471,7 +456,14 @@ def _rk4_loop(M: ManifoldSpec):
         f"        out[j] = {Y}",
         "    return n, None\n",
     ]
-    return _define("\n".join(source), dict(constants, _isfinite=math.isfinite, _rtol=RANK_RTOL))
+    return _define("\n".join(source), dict(constants, _isfinite=math.isfinite, _rtol=RANK_RTOL, _stop=_rk4_stop))
+
+
+def _rk4_stop(M: ManifoldSpec, point):
+    """Raise what :func:`christoffel` raises at ``point``, a stage point where
+    the RK4 loop cannot step; never returns."""
+    christoffel(M, point)
+    raise GeometryError(f"the geodesic rate cannot be evaluated at {point}")
 
 
 def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
@@ -486,14 +478,14 @@ def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
     Like :func:`christoffel`, it takes one start ``(m,)`` or a stack
     ``(T, m)``, with ``length`` a scalar or one per row.  A stack returns a
     list with, per row, its trajectory or the :class:`DomainExitError` or
-    :class:`ValueError` that row raises alone.  The live rows advance as
+    :class:`ValueError` that row raises alone.  An error in the metric (an
+    :class:`ExprError`, a :class:`SingularMetricError`) ends the whole call.
+    On a curved diagonal metric the rows run one after another, in row
+    order, through the metric's ``_rk4_loop``, so the first row that meets
+    a metric error raises it.  On any other metric the live rows advance as
     one RK4 over ``(T, 2m)``, every row bit for bit its one-row
     integration; a row leaves the stack when it finishes or exits, and one
-    live row steps as ``(2m,)``.  An error in the metric (an
-    :class:`ExprError`, a :class:`SingularMetricError`) ends the whole call.
-    On a curved diagonal metric each row runs instead through the metric's
-    ``_rk4_loop``, with the same bits; if a loop stops other than at a
-    domain exit, the whole call is stepped as above.
+    live row steps as ``(2m,)``.
     """
     starts = np.concatenate([p0, v0], axis=-1, dtype=float)
     stacked = starts.ndim == 2
@@ -517,19 +509,13 @@ def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
         rows = samples.pop(r)[:n]
         return GeodesicTrajectory.from_samples(M, step * np.arange(n), rows[:, :m], rows[:, m:], step)
 
+    if M._rk4 is not None:
+        for r, rows in list(samples.items()):
+            k, exit_row = M._rk4(M, rows[0].tolist(), step, len(rows) - 1, rows)
+            results[r] = trajectory(r, k + 1) if exit_row is None else DomainExitError(trajectory(r, k), exit_row[:m], k * step)
     for r in [r for r in samples if len(samples[r]) == 1]:
         results[r] = trajectory(r, 1)
     live = list(samples)
-    if M._rk4 is not None and live:
-        try:
-            ends = {r: M._rk4(rows[0].tolist(), step, len(rows) - 1, rows, M.domain.contains) for r, rows in samples.items()}
-        except (ArithmeticError, ValueError, ExprError):  # the rate's or a tube's
-            ends = {}
-        if ends and None not in ends.values():
-            # In the order the numpy path finishes rows: by step, then by row.
-            for r, (k, exit_row) in sorted(ends.items(), key=lambda end: (end[1][0], end[0])):
-                results[r] = trajectory(r, k + 1) if exit_row is None else DomainExitError(trajectory(r, k), exit_row[:m], k * step)
-            live = []
     y = starts[live]
     k = 0  # steps taken by every live row
     while live:

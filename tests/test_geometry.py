@@ -155,11 +155,16 @@ def test_diagonal_singular_test_matches_the_svd(x1, monkeypatch):
         with pytest.raises(SingularMetricError) as rate:
             geometry._rate(M, np.concatenate([point, np.ones(np.shape(point))], axis=-1))
         assert str(rate.value) == str(diag.value)
+        # The RK4 loop stops at its first stage and raises the same error.
+        with pytest.raises(SingularMetricError) as loop:
+            geodesic_integrate(M, point, np.ones(np.shape(point)), 0.01, 0.01)
+        assert str(loop.value) == str(diag.value)
     above = (np.nextafter(1e-8, 1.0), 0.0, 0.3)
     assert christoffel(M, above).tobytes() == _reference_christoffel(M, above).tobytes()
-    # The compiled rate's own test passes it: no Christoffel fallback.
+    # The loop's own diagonal test passes it: it steps without christoffel
+    # (along x3 the acceleration is zero, so every stage is at x1 = above).
     monkeypatch.setattr(geometry, "christoffel", None)
-    geometry._rate(M, np.concatenate([above, np.ones(3)]))
+    assert len(geodesic_integrate(M, above, (0.0, 0.0, 1.0), 0.01, 0.01)) == 2
 
 
 @pytest.mark.parametrize(
@@ -175,10 +180,14 @@ def test_diagonal_singular_test_matches_the_svd(x1, monkeypatch):
 )
 def test_diagonal_metric_fails_as_the_array_formula(diagonal, x1):
     M = _diagonal_metric(diagonal)
+    twin = _diagonal_metric(diagonal, off="x3 - x3")  # zero, but not structurally
     p = (x1, 0.2, 0.3)
     for point in (p, [(0.5, 0.2, 0.3), p]):
         expected = _outcome(_reference_christoffel, M, point)
         assert _outcome(christoffel, M, point) == expected
+        # The general path fails the same way; on the inf, -inf and NaN
+        # rows because a metric value that is not finite is singular on both.
+        assert _outcome(christoffel, twin, point) == expected
 
 
 def test_euclidean_christoffel_vanishes(r4):
@@ -382,10 +391,8 @@ def test_compiled_acceleration_matches_christoffel_to_summation_order(name):
     m, n = M.dim, 2000
     x = sample_points(M.domain, n, seed=23)
     v = np.random.default_rng(23).uniform(-1.0, 1.0, (n, m))
-    z = np.concatenate([x, v], axis=-1)
     acceleration = _acceleration(M)
     compiled = np.array([acceleration(p, w) for p, w in zip(x, v)])
-    assert geometry._rate(M, z)[:, m:].tobytes() == compiled.tobytes()
     gamma = christoffel(M, x)
     reference = -np.einsum("nkij,ni,nj->nk", gamma, v, v)
     scale = np.einsum("nkij,ni,nj->nk", abs(gamma), abs(v), abs(v))
@@ -525,15 +532,14 @@ def test_compiled_loop_matches_reference_rk4_bit_for_bit(rows, step):
         assert got.s.tobytes() == (step * np.arange(len(points))).tobytes()
 
 
-def test_tube_error_in_the_loop_is_raised_by_the_numpy_path():
+def test_tube_error_in_the_loop_propagates():
     # ln(x1) cannot be evaluated once the second curve reaches x1 <= 0: the
-    # loop hands the call to the numpy path, which raises the tube's error.
+    # loop's domain test raises the tube's error, and no numpy stage runs.
     tube = ExclusionTube(parse("ln(x1)", 3), -10.0)
     M = ManifoldSpec(3, _TUBE_METRIC.metric, box_domain(3, -1.0, 1.0, tubes=[tube]))
-    with mock.patch.object(geometry, "_rate", wraps=geometry._rate) as rate:
+    with mock.patch.object(geometry, "_rate", side_effect=AssertionError("numpy path")):
         with pytest.raises(DomainError, match=r"logarithm of a non-positive value in ln\(x1\)"):
             geodesic_integrate(M, [(0.5, 0.2, 0.3), (0.5, 0.0, 0.0)], [(0.0, 0.1, 0.1), (-1.0, 0.0, 0.0)], 1.0, 0.01)
-    assert rate.called
 
 
 def test_stacked_metric_error_ends_the_call():
@@ -548,10 +554,11 @@ def test_stacked_metric_error_ends_the_call():
     assert str(stacked.value) == str(one.value)
 
 
-# Starts at which the compiled geodesic rate cannot be used, per case: the
-# metric diagonal on [-1, 1]^dim, the start, a regular start, and what the
-# Christoffel path raised there before the compiled rate existed (one step
-# of 0.01, alone and stacked under the regular row).
+# Starts at which the RK4 loop stops, per case: the metric diagonal on
+# [-1, 1]^dim, the start, a regular start, and what the Christoffel path
+# raises at the stage point where the loop stops (steps of 0.01, alone and
+# stacked under the regular row).  Where the metric values are finite, that
+# is what the numpy stepping raised before the loop existed.
 _RATE_FALLBACKS = {
     # 1/x2^2 turns singular in the second RK4 stage
     "singular mid-curve": (
@@ -573,18 +580,18 @@ _RATE_FALLBACKS = {
         (0.5, 0.2, 0.3),
         (DomainError, "logarithm of a non-positive value in ln(x1)"),
     ),
-    # non-finite diagonals take LAPACK's path
+    # a metric value that is not finite is singular
     "inf diagonal": (
         ["1", "1 + x1 * 1e308 * x1 * 10", "1"],
         ((0.5, 0.2, 0.3), (1.0, 0.5, 0.5)),
         (0.0, 0.2, 0.3),
-        (np.linalg.LinAlgError, "SVD did not converge"),
+        (SingularMetricError, "metric is singular at [0.5, 0.2, 0.3]"),
     ),
     "nan diagonal": (
         ["1", "1 + x1 * 1e308 * x1 * 10 - x1 * 1e308 * x1 * 10", "1"],
         ((0.5, 0.2, 0.3), (1.0, 0.5, 0.5)),
         (0.0, 0.2, 0.3),
-        (np.linalg.LinAlgError, "SVD did not converge"),
+        (SingularMetricError, "metric is singular at [0.5, 0.2, 0.3]"),
     ),
 }
 
@@ -600,6 +607,21 @@ def test_rate_fallback_raises_the_christoffel_error(case):
         with pytest.raises(Exception) as err:
             geodesic_integrate(M, starts, velocities, 1.0, 0.01)
         assert (type(err.value), str(err.value)) == expected
+
+
+# Both places the loop stops: the rate raising, and the diagonal test.
+@pytest.mark.parametrize("case", ["zero diagonal", "singular mid-curve"])
+def test_loop_stop_never_returns(case, monkeypatch):
+    # Should christoffel not raise where the loop cannot step, the stop
+    # still raises instead of stepping on.
+    diagonal, (p0, v0), _, (_, message) = _RATE_FALLBACKS[case]
+    M = _diagonal_metric(diagonal)
+    monkeypatch.setattr(geometry, "christoffel", lambda M, point: None)
+    point = message.removeprefix("metric is singular at ")
+    with pytest.raises(GeometryError) as err:
+        geodesic_integrate(M, p0, v0, 1.0, 0.01)
+    assert type(err.value) is GeometryError
+    assert str(err.value) == f"the geodesic rate cannot be evaluated at {point}"
 
 
 def test_exclusion_tube_sampling():

@@ -155,23 +155,27 @@ _special_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_special_trees, st.tuples(*[st.sampled_from(_SPECIAL)] * 3))
 def test_folded_code_matches_tree_walk_bit_for_bit(e, p):
-    # The folds (t - 0.0, t + -0.0, -0.0 + t, operations on finite
-    # literals) and the operations left alone (t + 0.0, 0.0 * t, 0.0 / t).
-    # Each on its own, so that an error in one does not hide another.
+    # The folds (t - 0.0, t + -0.0, -0.0 + t, t * 1.0, 1.0 * t, t / 1.0,
+    # operations on finite literals) and the operations left alone (t + 0.0,
+    # 0.0 * t, 0.0 / t).  Each on its own, so that an error in one does not
+    # hide another.
     for x in (e, Sub(e, Const(0.0)), Add(e, Const(-0.0)), Add(Const(-0.0), e),
+              Mul(e, Const(1.0)), Mul(Const(1.0), e), Div(e, Const(1.0)),
               Add(e, Const(0.0)), Mul(Const(0.0), e), Div(Const(0.0), e)):
         assert _outcome(lambda: ExprArray((x,)).values(p)) == _outcome(lambda: [x.eval(p)])
 
 
 def test_fold_drops_exact_operations_on_zeros():
     # The warped geodesic rate: 11 of its 87 lines took a (0.0) operand
-    # before the fold. The 8 left are not exact: 0.0 * t, t + 0.0, 0.0 - t
-    # and 0.0 + t differ from their folds at -0.0, inf or nan.
+    # before the fold, and 2 divided by (1.0). The 8 left are not exact:
+    # 0.0 * t, t + 0.0, 0.0 - t and 0.0 + t differ from their folds at -0.0,
+    # inf or nan.
     M = build_warped_map().source
     lines, _, _ = expr._walk(M._geodesic_rate.entries, lambda i: f"_float(p[{i - 1}])", "t")
     zeros = [line.split(" = ")[1] for line in lines if "(0.0)" in line]
-    assert (len(lines), len(zeros)) == (80, 8)
+    assert (len(lines), len(zeros)) == (78, 8)
     assert all(z.startswith("(0.0) ") or z.endswith(" + (0.0)") for z in zeros)
+    assert not any("(1.0)" in line for line in lines)
 
 
 @settings(max_examples=300, deadline=None)

@@ -200,6 +200,13 @@ def _with(doc, **changes):
 
 _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0.5}
 _THRESHOLD_V0 = [5.844416210671739e-13, 6.110858467135888e-13, -4.427439595952497e-13, -2.982949308195329e-13]
+# A conformal metric x1 * 1e308 * 10: its x1-derivative overflows to inf, so
+# the RK4 stage points turn NaN, where the metric is not finite.
+_CONFORMAL_INF = _with(MINIMAL, source={
+    "dim": 4,
+    "metric": [["x1 * 1e308 * 10" if i == j else "0" for j in range(4)] for i in range(4)],
+    "domain": {"intervals": [[0.05, 1.0]] + [[-2.0, 2.0]] * 3},
+})
 
 
 @pytest.mark.parametrize(
@@ -303,6 +310,12 @@ _THRESHOLD_V0 = [5.844416210671739e-13, 6.110858467135888e-13, -4.42743959595249
         pytest.param(
             ["geodesic", "--p0=1e308,0,0,0", "--v0=1,0,0,0"], _WARPED,
             "outside sampling domain", id="geodesic-far-p0-overflowing-metric",
+        ),
+        # The stage points turn NaN (see _CONFORMAL_INF): a metric value
+        # that is not finite is singular.
+        pytest.param(
+            ["geodesic", "--p0=0.1,0,0,0", "--v0=1,0,0,0"], _CONFORMAL_INF,
+            "error: SingularMetricError: metric is singular at", id="geodesic-metric-overflows-to-inf",
         ),
         pytest.param(
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e200, 0, 0, 0])]),
@@ -622,13 +635,21 @@ def test_stacks_hold_at_most_max_steps_plus_one_samples(monkeypatch, scenario, c
 
 def test_metric_error_in_a_stack_keeps_curve_order(tmp_path, monkeypatch):
     # Geodesic 0 overflows x2^2 in its third RK4 stage; geodesic 1 meets a
-    # singular metric in its second.  The two-row stack raises geodesic 1's
-    # error first; curve-by-curve order, and so the run, raises geodesic 0's.
+    # singular metric in its second.  On the non-diagonal twin (off-diagonal
+    # entries x1 - x1) the two rows step in lockstep, so the stack raises
+    # geodesic 1's error first; on the diagonal metric the rows run one
+    # after another through the RK4 loop, so it raises geodesic 0's.  Curve
+    # by curve, and so the run, raises geodesic 0's error on both.
     doc = yaml.safe_load(resolve_scenario_path("h2xh2").read_text())
     doc["sampling"]["count"] = 5
     doc["geodesics"][0]["v0"] = [1.0e150, 1.0, 1.0, 1.0]
     doc["geodesics"][1]["v0"] = [1.0, 1.0e150, 1.0, 1.0]
-    path = _write(tmp_path, doc)
+    twin = yaml.safe_load(yaml.safe_dump(doc))
+    metric = twin["source"]["metric"]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                metric[i][j] = "x1 - x1"
     raised = []
     integrate = cli.geodesic_integrate
 
@@ -640,12 +661,15 @@ def test_metric_error_in_a_stack_keeps_curve_order(tmp_path, monkeypatch):
             raise
 
     monkeypatch.setattr(cli, "geodesic_integrate", logged)
-    with pytest.raises(riemsub.expr.DomainError, match=r"power overflows in x2\^2\.0"):
-        run_scenario(path)
-    assert raised == [(2, "SingularMetricError"), (1, "DomainError")]
-    proc = _run_cli(["check", str(path)])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: DomainError: power overflows in x2^2.0\n"
+    for scenario, stack_error in ((twin, "SingularMetricError"), (doc, "DomainError")):
+        path = _write(tmp_path, scenario)
+        raised.clear()
+        with pytest.raises(riemsub.expr.DomainError, match=r"power overflows in x2\^2\.0"):
+            run_scenario(path)
+        assert raised == [(2, stack_error), (1, "DomainError")]
+        proc = _run_cli(["check", str(path)])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: DomainError: power overflows in x2^2.0\n"
 
 
 def test_example_ii_integrates_its_five_curves_in_2000_stacked_steps(monkeypatch):

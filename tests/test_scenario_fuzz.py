@@ -2,7 +2,8 @@
 
 Every input must give exit code 0, 1 or 2 through ``cli.main``, with no
 traceback and no numpy ``RuntimeWarning`` (CI runs with them as errors), and
-two runs must print the same bytes.  The changed field is the exponent f, a
+two runs must print the same bytes.  No check passes with a NaN in its
+residual or its details.  The changed field is the exponent f, a
 map component, a metric entry (with its mirror), a phi entry, a number of
 the geodesic or a domain bound.  Each input draws at most 8 samples and
 takes at most 500 RK4 steps.
@@ -10,6 +11,7 @@ takes at most 500 RK4 steps.
 
 import contextlib
 import io
+import json
 import warnings
 
 import numpy as np
@@ -100,6 +102,15 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _holds_nan(value) -> bool:
+    """Whether a machine-report value holds a NaN (written as "nan")."""
+    if isinstance(value, dict):
+        return any(map(_holds_nan, value.values()))
+    if isinstance(value, list):
+        return any(map(_holds_nan, value))
+    return value == "nan"
+
+
 @pytest.fixture(scope="module")
 def scenario_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.yaml"
@@ -114,3 +125,7 @@ def test_one_changed_field_exits_0_1_or_2_the_same_twice(scenario_file, case, co
     first = _run(argv)
     assert first[0] in (0, 1, 2), (name, field, first)
     assert _run(argv) == first
+    if command == "check" and first[0] != 2:
+        for check in json.loads(first[1])["checks"]:
+            if check["verdict"] == "pass":
+                assert not _holds_nan([check["max_residual"], check["details"]]), (name, field, check)
