@@ -11,6 +11,7 @@ keep a margin of two samples from each end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,6 +68,11 @@ class ClairautScenario:
     @property
     def M(self) -> ManifoldSpec:
         return self.F.source
+
+    @functools.cached_property
+    def _f_values(self) -> ExprArray:
+        """``f`` as one array, compiled once for every curve."""
+        return ExprArray(self.f)
 
     @property
     def N(self) -> ManifoldSpec:
@@ -170,7 +176,7 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     for b in blocks(len(points)):
         st = SampleState(points[b], sc.M, sc.F)
         sin_theta[b] = st.norm(st.vertical_part(velocities[b])) / speed[b]
-    invariant = ExprArray(sc.f).eval(points)
+    invariant = sc._f_values.eval(points)
     with np.errstate(over="raise"):
         try:
             np.exp(invariant, out=invariant)

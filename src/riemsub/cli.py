@@ -43,7 +43,7 @@ from .clairaut import (
     invariant_series,
     pq_curve_residual,
 )
-from .expr import ExprError
+from .expr import ExprError, blocks
 from .geometry import (
     MAX_STEPS,
     DomainExitError,
@@ -294,14 +294,15 @@ def _cmd_check(args) -> int:
     report = run_scenario(path, args.seed, args.samples, args.tolerance_scale)
     sys.stdout.write(report.to_json() if args.format == "machine" else report.to_table())
     if args.report:
-        _write_file(args.report, report.to_json(), "--report")
+        _write_file(args.report, [report.to_json()], "--report")
     return EXIT_PASS if report.overall == "pass" else EXIT_FAIL
 
 
-def _write_file(path: str, text: str, option: str) -> None:
+def _write_file(path: str, chunks, option: str) -> None:
+    """Write the strings ``chunks`` to ``path``, one after another."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ScenarioValidationError(f"{option}: cannot write {path}: {exc.strerror}") from None
 
@@ -351,11 +352,7 @@ def _cmd_geodesic(args) -> int:
         raise ScenarioValidationError(str(exc)) from None
 
     sin_theta, invariant = invariant_series(sc, traj)
-    coords = [f"{c}{i}" for c in "xv" for i in range(1, sc.M.dim + 1)]
-    rows = [",".join(["s", *coords, "sin_theta", "invariant"])]
-    table = np.column_stack([traj.s, traj.points, traj.velocities, sin_theta, invariant])
-    rows += [",".join(map(repr, row.tolist())) for row in table]
-    text = "\n".join(rows) + "\n"
+    csv = _csv_chunks(traj, sin_theta, invariant)
 
     c0, drift, relative = invariant_drift(invariant)
     summary = [
@@ -368,12 +365,23 @@ def _cmd_geodesic(args) -> int:
         summary.append(f"left the sampling domain at s={exited.s:g}")
 
     if args.out:
-        _write_file(args.out, text, "--out")
+        _write_file(args.out, csv, "--out")
         print("\n".join(summary))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(csv)
         print("\n".join(summary), file=sys.stderr)
     return EXIT_PASS
+
+
+def _csv_chunks(traj, sin_theta, invariant):
+    """The ``geodesic`` CSV text: its header, then the rows of one
+    ``expr.blocks`` slice of samples per string, so that the text of the
+    whole curve is never held at once."""
+    coords = [f"{c}{i}" for c in "xv" for i in range(1, traj.points.shape[1] + 1)]
+    yield ",".join(["s", *coords, "sin_theta", "invariant"]) + "\n"
+    for b in blocks(len(traj)):
+        table = np.column_stack([traj.s[b], traj.points[b], traj.velocities[b], sin_theta[b], invariant[b]])
+        yield "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 def _cmd_presets(_args) -> int:

@@ -14,8 +14,8 @@ one compiled function, with the per-node ``eval`` methods as its reference.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import re
 
 import numpy as np
 
@@ -324,7 +324,27 @@ def blocks(count: int) -> list:
     return [slice(i, i + BLOCK) for i in range(0, count, BLOCK)]
 
 
+def _nonzero(column):
+    """Raise :class:`ZeroDivisionError` for a zero in ``column``, as Python
+    does for a float divisor (numpy divides inf and NaN by zero with no
+    flag).  A call, not an ``if`` statement: on example-ii's Hessian the
+    12 ``if`` guards raised the compiler's peak memory from 333 to 400 kB,
+    and with it the peak memory of ``riemsub check``."""
+    if not column.all():
+        raise ZeroDivisionError
+
+
+def _col(f, column, *constants):
+    """``f`` (a ``math`` function) of each entry of ``column``, with the
+    ``constants`` as its further arguments."""
+    values = column.tolist()
+    return np.fromiter(map(f, values, *([c] * len(values) for c in constants)), float, len(values))
+
+
 _COMPILED_GLOBALS = {
+    "_nonzero": _nonzero,
+    "_col": _col,
+    "_np_sqrt": np.sqrt,
     "_float": float,
     "_pow": math.pow,
     "_sqrt": math.sqrt,
@@ -341,24 +361,27 @@ class ExprArray:
     ``eval`` returns a float array of the nesting's shape, equal bit for bit
     to evaluating each entry with ``Expr.eval`` at the point, converted to
     floats; at a stack of points, any 2-D array-like ``(N, m)``, it returns
-    the values at each point stacked along a leading axis of length ``N``,
-    streamed into the array point by point (the first failing point raises).
-    ``diff`` builds the array of partial derivatives.  The function is
-    generated at the first evaluation: straight-line Python from ``_walk``,
-    which computes each structurally distinct subexpression once, with the
-    same float operation per node.  If it raises, the entries are evaluated
-    again by the per-node walk, which raises the reference error (a
-    :class:`DomainError` naming the first singular node).  An array of
-    constants is stored instead.
+    the values at each point stacked along a leading axis of length ``N``:
+    each point's ``values``, or the first failing point's error.  ``diff``
+    builds the array of partial derivatives.  Two functions are generated
+    at first use, both straight-line Python from ``_walk``, which computes
+    each structurally distinct subexpression once, with the same float
+    operation per node.  The point function works on Python floats; if it
+    raises, the entries are evaluated again by the per-node walk, which
+    raises the reference error (a :class:`DomainError` naming the first
+    singular node).  The column function evaluates a block of ``BLOCK``
+    points at once, one numpy column per variable (see
+    :func:`_compile_columns`); if it raises, that block is evaluated point
+    by point.  An array of constants is stored instead.
     """
 
-    __slots__ = ("entries", "shape", "_const", "_fn")
+    __slots__ = ("entries", "shape", "_const", "_fn", "_cols")
 
     def __init__(self, nested):
         entries = []
         self.shape = _flatten(nested, entries)
         self.entries = tuple(entries)
-        self._fn = None
+        self._fn = self._cols = None
         self._const = None
         if all(isinstance(e, Const) for e in self.entries):
             const = np.array([e.value for e in self.entries]).reshape(self.shape)
@@ -367,18 +390,22 @@ class ExprArray:
 
     def eval(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
-        if point.ndim == 2:
-            shape = (len(point),) + self.shape
-            if self._const is not None:
-                out = np.empty(shape)
-                out[...] = self._const
-                return out
-            rows = (row for b in blocks(len(point)) for row in point[b].tolist())
-            values = itertools.chain.from_iterable(map(self.values, rows))
-            return np.fromiter(values, float, count=math.prod(shape)).reshape(shape)
+        if point.ndim != 2:
+            return self._const if self._const is not None else np.array(self.values(point)).reshape(self.shape)
+        out = np.empty((len(point),) + self.shape)
         if self._const is not None:
-            return self._const
-        return np.array(self.values(point)).reshape(self.shape)
+            out[...] = self._const
+            return out
+        if self._cols is None:
+            self._cols = _compile_columns(self.entries)
+        flat = out.reshape(len(point), len(self.entries))
+        with np.errstate(all="raise", under="ignore"):
+            for b in blocks(len(point)):
+                try:
+                    self._cols(point[b].T, flat[b].T)
+                except (ArithmeticError, ValueError):
+                    flat[b] = [self.values(row) for row in point[b].tolist()]
+        return out
 
     def diff(self, dim: int) -> "ExprArray":
         """Exact partial derivatives of every entry along a new last axis of
@@ -414,7 +441,7 @@ _RIGHT_UNITS = {Sub: "(0.0)", Add: "(-0.0)", Mul: "(1.0)", Div: "(1.0)"}
 _LEFT_UNITS = {Add: "(-0.0)", Mul: "(1.0)"}
 
 
-def _walk(entries, var, prefix: str):
+def _walk(entries, var, prefix: str, columns: bool = False):
     """Straight-line code for ``entries``: its assignment lines, the operand
     (a name or a literal) holding each entry, and the non-finite constants
     it names.  ``var(index)`` is the code of ``x<index>``, used as it is if
@@ -424,10 +451,19 @@ def _walk(entries, var, prefix: str):
     here by ``eval`` (unless it raises), and ``t - 0.0``, ``t + -0.0``,
     ``-0.0 + t``, ``t * 1.0``, ``1.0 * t`` and ``t / 1.0`` are ``t``
     (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
+
+    With ``columns``, every variable is a numpy column, and so is every
+    operation on one: ``+ - * /``, negation and ``sqrt`` are numpy's,
+    ``pow``, ``exp``, ``ln``, ``sin`` and ``cos`` map ``math`` over the
+    column (``_col``), and a division or negative power raises
+    :class:`ZeroDivisionError` for a zero anywhere in its divisor or base,
+    as Python floats do and numpy does not.  Literal operations stay on
+    Python floats.
     """
     lines = []
     names = {}  # structural key -> variable holding that subexpression
     constants = {}
+    cols = set()  # the names that hold columns
 
     def literal(value: float) -> str:
         if math.isfinite(value):
@@ -435,6 +471,9 @@ def _walk(entries, var, prefix: str):
         name = f"_c{len(constants)}"
         constants[name] = value
         return name
+
+    def zero_guard(x: str) -> str:
+        return f"_nonzero({x})" if x in cols else f"if {x} == 0.0: raise ZeroDivisionError"
 
     def operand(e) -> str:
         guard = None
@@ -456,9 +495,6 @@ def _walk(entries, var, prefix: str):
         elif isinstance(e, Pow):
             key = (Pow, operand(e.base), operand(Const(e.exponent)))
             code = f"_pow({key[1]}, {key[2]})"
-            if e.exponent < 0.0:
-                # Pow.eval rejects a zero base itself: math.pow(0, -inf) is inf.
-                guard = f"if {key[1]} == 0.0: raise ZeroDivisionError"
         elif isinstance(e, Neg):
             key = (Neg, operand(e.a))
             code = f"-{key[1]}"
@@ -476,9 +512,21 @@ def _walk(entries, var, prefix: str):
             return key[1]
         if len(key) == 3 and key[1] == _LEFT_UNITS.get(key[0]):
             return key[2]
+        column = columns and (key[0] is Var or any(a in cols for a in key[1:]))
+        if key[0] is Pow and e.exponent < 0.0:
+            # Pow.eval rejects a zero base itself: math.pow(0, -inf) is inf.
+            guard = zero_guard(key[1])
+        elif key[0] is Div and column:
+            guard = zero_guard(key[2])
+        if column and key[0] is Pow:
+            code = f"_col(_pow, {key[1]}, {key[2]})"
+        elif column and isinstance(key[0], str):
+            code = f"_np_sqrt({key[1]})" if key[0] == "sqrt" else f"_col(_{key[0]}, {key[1]})"
         name = names.get(key)
         if name is None:
             name = names[key] = f"{prefix}{len(names)}"
+            if column:
+                cols.add(name)
             if guard is not None:
                 lines.append(guard)
             lines.append(f"{name} = {code}")
@@ -500,6 +548,34 @@ def _compile(entries):
     lines, results, constants = _walk(entries, lambda i: f"_float(p[{i - 1}])", "t")
     body = "".join(f"    {line}\n" for line in lines)
     return _define(f"def _f(p):\n{body}    return ({', '.join(results)},)\n", constants)
+
+
+def _compile_columns(entries):
+    """Straight-line function ``_f(p, o)`` of a block of points, ``p[i]`` the
+    column of ``x<i+1>``, that writes the column of entry k to ``o[k]`` (see
+    ``_walk`` with ``columns``).  Run under ``np.errstate(all="raise")``,
+    any floating-point error raises, so what does not raise has the bits of
+    the point function: IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly.
+    An entry is written out where it is computed, and a temporary's name is
+    reused once its value is last read, so a block holds few columns at
+    once and the source stays as short as the point function's."""
+    lines, results, constants = _walk(entries, lambda i: f"p[{i - 1}]", "t", columns=True)
+    outputs = {}
+    for k, result in enumerate(results):
+        outputs.setdefault(result, []).append(f"o[{k}]")
+    split = [line.partition(" = ")[::2] if " = " in line else ("", line) for line in lines]
+    reads = [re.findall(r"\bt\d+\b", code) for _, code in split]
+    last = {name: i for i, names in enumerate(reads) for name in names}
+    free, names, body = [], {}, []  # names: temporary -> the name it is held in
+    for i, (target, code) in enumerate(split):
+        code = re.sub(r"\bt\d+\b", lambda m: names[m.group()], code)
+        free += [names[n] for n in dict.fromkeys(reads[i]) if last[n] == i]
+        if target in last:  # read by a later line
+            names[target] = free.pop() if free else f"t{len(set(names.values()))}"
+            outputs.setdefault(target, []).append(names[target])
+        body.append(" = ".join(outputs.pop(target, []) + [code]))
+    body += [" = ".join(outs + [result]) for result, outs in outputs.items()]
+    return _define("def _f(p, o):\n" + "".join(f"    {line}\n" for line in body), constants)
 
 
 @functools.lru_cache(maxsize=32)

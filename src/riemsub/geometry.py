@@ -69,21 +69,33 @@ class SamplingDomain:
         return len(self.intervals)
 
     @functools.cached_property
-    def _tube_values(self) -> ExprArray:
-        return ExprArray([tube.expr for tube in self.tubes])
+    def _inside(self):
+        """``_inside(x1, ..., xm)``: :meth:`contains` on the coordinates as
+        Python floats, one function generated from ``expr._walk``: the box
+        bounds, the tubes' code and the radius comparisons.  If the tubes'
+        code raises, ``Expr.eval`` walks the tubes one by one, so the tube's
+        own error is raised, unless an earlier tube excludes the point."""
+        xs = ", ".join(f"x{i + 1}" for i in range(self.dim))
+        lines, results, constants = _walk([tube.expr for tube in self.tubes], lambda i: f"x{i}", "t")
+        outside = " or ".join(f"{r} < _r{k}" for k, r in enumerate(results)) or "False"
+        source = [
+            f"def _f({xs}):",
+            f"    if not ({' and '.join(f'_l{i} <= x{i + 1} <= _h{i}' for i in range(self.dim))}):",
+            "        return False",
+            *(["    try:", *(f"        {line}" for line in lines),
+               "    except (ArithmeticError, ValueError):",
+               f"        p = [{xs}]",
+               "        return not any(t.expr.eval(p) < t.radius for t in _tubes)"] if lines else []),
+            f"    return not ({outside})",
+        ]
+        bounds = {f"_{c}{i}": iv[j] for i, iv in enumerate(self.intervals) for j, c in enumerate("lh")}
+        radii = {f"_r{k}": tube.radius for k, tube in enumerate(self.tubes)}
+        return _define("\n".join(source) + "\n", dict(constants, **bounds, **radii, _tubes=self.tubes))
 
     def contains(self, point) -> bool:
         """Whether ``point`` (floats) is in the box and outside every tube;
-        if the tubes' compiled array raises, ``Expr.eval`` raises per tube."""
-        p = point.tolist() if isinstance(point, np.ndarray) else point
-        for (lo, hi), x in zip(self.intervals, p):
-            if not lo <= x <= hi:
-                return False
-        try:
-            values = self._tube_values.values(p) if self.tubes else ()
-        except ExprError:
-            values = (tube.expr.eval(p) for tube in self.tubes)
-        return not any(value < tube.radius for tube, value in zip(self.tubes, values))
+        see :attr:`_inside`."""
+        return self._inside(*(point.tolist() if isinstance(point, np.ndarray) else map(float, point)))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` points uniformly, rejecting excluded ones."""
@@ -172,17 +184,23 @@ class ManifoldSpec:
 
     def validate(self, samples) -> None:
         """Check symmetry and positive definiteness at the given points,
-        stacked; raise for the first point that fails."""
+        stacked; raise for the first point that fails.  A metric value that
+        is not finite is singular, as in :func:`_inverse`."""
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
         g = self.metric_at(pts)
-        gT = g.swapaxes(1, 2)
-        # Written so that a NaN entry fails the symmetry test.
-        sym = (abs(g - gT) <= 1e-12 * np.maximum(1.0, abs(g).max((1, 2)))[:, None, None]).all((1, 2))
+        finite = np.isfinite(g).all((1, 2))
+        g = np.where(finite[:, None, None], g, 0.0)  # LAPACK is handed finite values only
+        # |g - gT| <= 1e-12 * scale and the symmetric part, both halved so
+        # that neither overflows.
+        half, halfT = 0.5 * g, 0.5 * g.swapaxes(1, 2)
+        sym = finite & (abs(half - halfT) <= 0.5e-12 * np.maximum(1.0, abs(g).max((1, 2)))[:, None, None]).all((1, 2))
         floor = RANK_RTOL * np.maximum(abs(np.diagonal(g, axis1=1, axis2=2)).max(-1), 1e-300)
-        ok = sym.copy()  # LAPACK is handed no NaN
-        ok[sym] = np.linalg.eigvalsh(0.5 * (g + gT)[sym]).min(-1) > floor[sym]
+        ok = sym.copy()
+        ok[sym] = np.linalg.eigvalsh((half + halfT)[sym]).min(-1) > floor[sym]
         if not ok.all():
             i = np.argmin(ok)
+            if not finite[i]:
+                raise SingularMetricError(pts[i])
             what = "positive definite" if sym[i] else "symmetric"
             raise GeometryError(f"metric not {what} at {pts[i].tolist()}")
 
@@ -286,7 +304,12 @@ def christoffel(M: ManifoldSpec, point) -> np.ndarray:
     B = values[..., -m**3:].reshape(p.shape[:-1] + (m, m, m))
     g = values[..., :-m**3]
     ginv = _inverse(M, p, g if M.is_diagonal else g.reshape(B.shape[:-1]))
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
+    # A metric derivative that is not finite: named at the first finite point.
+    bad = ~np.isfinite(gamma).all((-3, -2, -1)) & np.isfinite(p).all(-1)
+    if bad.any():
+        raise GeometryError(f"Christoffel symbols are not finite at {np.reshape(p, (-1, m))[np.argmax(bad)].tolist()}")
+    return gamma
 
 
 def _pairing_value_and_grad(M: ManifoldSpec, X: VectorField, Y: VectorField, p):
@@ -420,12 +443,13 @@ def _rk4_loop(M: ManifoldSpec):
     (``2m`` floats) on a curved diagonal metric, on Python floats, from the
     code walk of ``M._geodesic_rate``.  Sample k goes to ``out[k]``; it
     returns ``(n, None)``, or ``(k, row)`` for the first row at step k that
-    ``M.domain.contains`` rejects (a tube's error propagates).  Where a
+    ``M.domain._inside`` rejects (a tube's error propagates).  Where a
     stage cannot step, because the rate raises an :class:`ArithmeticError`
     or :class:`ValueError` or its diagonal fails the singular test of
-    :func:`_inverse`, it calls :func:`_rk4_stop` at the stage point.  Every
-    value has the bits of ``_rk4_step``: the weighted sum
-    ``((k1 + 2k2) + 2k3) + k4`` starts at ``-0.0``, and ``-0.0 + t`` is ``t``."""
+    :func:`_inverse`, it calls :func:`_rk4_stop` with the step's start
+    state and the stage point.  Every value has the bits of ``_rk4_step``:
+    the weighted sum ``((k1 + 2k2) + 2k3) + k4`` starts at ``-0.0``, and
+    ``-0.0 + t`` is ``t``."""
     m = M.dim
     lines, results, constants = _walk(M._geodesic_rate.entries, lambda i: f"z{i - 1}", "r")
     y, z, s, a = ([f"{c}{i}" for i in range(2 * m)] for c in "yzsa")
@@ -435,7 +459,7 @@ def _rk4_loop(M: ManifoldSpec):
         "def _f(M, y, step, n, out):",
         f"    {Y} = y",
         "    h, h6 = 0.5 * step, step / 6.0",
-        "    contains = M.domain.contains",
+        "    inside = M.domain._inside",
         "    for j in range(1, n + 1):",
         f"        {Z} = {Y}",
         f"        {S} = {', '.join(['-0.0'] * 2 * m)}",
@@ -443,15 +467,15 @@ def _rk4_loop(M: ManifoldSpec):
         "            try:",
         *(f"                {line}" for line in lines),
         "            except (ArithmeticError, ValueError):",
-        f"                _stop(M, [{X}])",
+        f"                _stop(M, [{Y}], step, [{X}])",
         f"            {A} = {', '.join(f'abs({g})' for g in results[:m])}",
         f"            if not ({' and '.join(f'_isfinite({x})' for x in a[:m])}"
         f" and min([{A}]) > _rtol * max([{A}, 1e-300])):",
-        f"                _stop(M, [{X}])",
+        f"                _stop(M, [{Y}], step, [{X}])",
         f"            {S} = {', '.join(f'{u} + w * {v}' for u, v in zip(s, k))}",
         f"            {Z} = {', '.join(f'{u} + c * {v}' for u, v in zip(y, k))}",
         f"        {Y} = {', '.join(f'{u} + h6 * {v}' for u, v in zip(y, s))}",
-        f"        if not contains([{', '.join(y[:m])}]):",
+        f"        if not inside({', '.join(y[:m])}):",
         f"            return j, [{Y}]",
         f"        out[j] = {Y}",
         "    return n, None\n",
@@ -459,10 +483,12 @@ def _rk4_loop(M: ManifoldSpec):
     return _define("\n".join(source), dict(constants, _isfinite=math.isfinite, _rtol=RANK_RTOL, _stop=_rk4_stop))
 
 
-def _rk4_stop(M: ManifoldSpec, point):
-    """Raise what :func:`christoffel` raises at ``point``, a stage point where
-    the RK4 loop cannot step; never returns."""
-    christoffel(M, point)
+def _rk4_stop(M: ManifoldSpec, y, step: float, point):
+    """Raise what :func:`_rk4_step` raises from ``y``, the start state of a
+    step where the RK4 loop cannot step at the stage point ``point``, so
+    that the first failing stage point is named; never returns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rk4_step(M, np.array(y), step)
     raise GeometryError(f"the geodesic rate cannot be evaluated at {point}")
 
 
@@ -518,17 +544,17 @@ def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
     live = list(samples)
     y = starts[live]
     k = 0  # steps taken by every live row
+    inside = M.domain._inside
     while live:
         y = _rk4_step(M, y, step) if len(live) > 1 else _rk4_step(M, y[0], step)[None]
         k += 1
         keep = []
-        for j, r in enumerate(live):
-            row = y[j]
-            if not M.domain.contains(row[:m]):
-                results[r] = DomainExitError(trajectory(r, k), row[:m], k * step)
+        for j, (r, row) in enumerate(zip(live, y[:, :m].tolist())):
+            if not inside(*row):
+                results[r] = DomainExitError(trajectory(r, k), row, k * step)
                 continue
             rows = samples[r]
-            rows[k] = row
+            rows[k] = y[j]
             if k + 1 < len(rows):
                 keep.append(j)
             else:

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -609,14 +610,30 @@ def test_rate_fallback_raises_the_christoffel_error(case):
         assert (type(err.value), str(err.value)) == expected
 
 
+@pytest.mark.parametrize("off", ["0", "x3 - x3"])
+def test_christoffel_names_the_first_finite_point_with_non_finite_symbols(off):
+    # The x1-derivative of x1 * 1e308 * 10 folds to inf, while the metric
+    # is finite below x1 = 0.17: the first point, not finite itself, is
+    # passed over.  The RK4 step from (0.1, 0.2, 0.3) names its start, on
+    # the compiled loop (diagonal) and on the numpy stepping alike.
+    M = _diagonal_metric(["x1 * 1e308 * 10"] * 3, off)
+    message = "Christoffel symbols are not finite at [0.12, 0.0, 0.0]"
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        christoffel(M, [(0.1, float("inf"), 0.0), (0.12, 0.0, 0.0)])
+    message = "Christoffel symbols are not finite at [0.1, 0.2, 0.3]"
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        geodesic_integrate(M, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), 1.0, 0.01)
+
+
 # Both places the loop stops: the rate raising, and the diagonal test.
 @pytest.mark.parametrize("case", ["zero diagonal", "singular mid-curve"])
 def test_loop_stop_never_returns(case, monkeypatch):
-    # Should christoffel not raise where the loop cannot step, the stop
-    # still raises instead of stepping on.
+    # Should christoffel not raise where the loop cannot step (here it
+    # returns zero symbols, so the stop's replay of the step steps too), the
+    # stop still raises instead of stepping on.
     diagonal, (p0, v0), _, (_, message) = _RATE_FALLBACKS[case]
     M = _diagonal_metric(diagonal)
-    monkeypatch.setattr(geometry, "christoffel", lambda M, point: None)
+    monkeypatch.setattr(geometry, "christoffel", lambda M, point: np.zeros(np.shape(point)[:-1] + (M.dim,) * 3))
     point = message.removeprefix("metric is singular at ")
     with pytest.raises(GeometryError) as err:
         geodesic_integrate(M, p0, v0, 1.0, 0.01)

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -46,7 +46,7 @@ from riemsub.expr import (
     partials,
 )
 from riemsub.cli import CHECKS, _Run, _run_checks, run_scenario
-from riemsub.geometry import VectorField, christoffel, sample_points
+from riemsub.geometry import ExclusionTube, VectorField, box_domain, christoffel, sample_points
 from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
 from riemsub.presets import canonical_phi
 from riemsub.scenario import load_scenario, resolve_scenario_path
@@ -136,6 +136,89 @@ def test_stacked_eval_is_each_points_values_bit_for_bit(e, stack, block):
     expected = errors[0] if errors else ("value", b"".join(o[1] for o in outcomes))
     with mock.patch.object(expr, "BLOCK", block):
         assert _outcome(lambda: arr.eval(np.array(stack))) == expected
+
+
+# Where numpy's column arithmetic and Python's floats part: an expression
+# over x1..x3, regular on [1.5, 2.5]^3, and a point where it hits the hazard.
+_HAZARDS = {
+    "sqrt of a negative": ("sqrt(x1 - 1)", (0.5, 2.0, 2.0)),
+    "ln of zero": ("ln(x1 - 1) * x2", (1.0, 2.0, 2.0)),
+    "ln of a negative": ("ln(x1 - 1)", (0.5, 2.0, 2.0)),
+    # numpy divides inf and nan by zero with no flag
+    "inf / 0": ("x1 / (x2 - 1)", (float("inf"), 1.0, 2.0)),
+    "nan / 0": ("x1 / (x2 - 1)", (float("nan"), 1.0, 2.0)),
+    "literal inf / 0": ("1e400 / (x2 - 1) + x3", (2.0, 1.0, 2.0)),
+    "0^-1": ("(x3 - 1)^-1", (2.0, 2.0, 1.0)),
+    "exp overflow": ("exp(x1) - x2", (800.0, 2.0, 2.0)),
+    "pow overflow": ("x2^3", (2.0, 1e200, 2.0)),
+    # Python's floats overflow to inf without an error; numpy raises.
+    "product overflows to inf": ("x1 * x2", (1e200, 1e200, 2.0)),
+    # (0.0)^-0.5 stays in the derivatives' code, since its fold raises:
+    # literal operands on the scalar path, every point failing.
+    "literal (0.0)^-0.5": ("(0)^0.5 * x1 + x2", (2.0, 2.0, 2.0)),
+}
+_regular_points = st.tuples(*[st.floats(1.5, 2.5)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(_HAZARDS)), min_size=1, max_size=2),
+    st.sampled_from([1, 2, 3]),
+    st.lists(_regular_points, min_size=4, max_size=9),
+    st.data(),
+)
+def test_stacked_eval_with_hazards_in_a_later_block(kinds, block, stack, data):
+    # Stacks of 2 or more blocks, where a point in a later block hits each
+    # hazard: the values of every point, bit for bit, or the error of the
+    # first failing one.
+    entries = []
+    for kind in kinds:
+        e = parse(_HAZARDS[kind][0], 3)
+        entries += [e] + [e.diff(i) for i in (1, 2, 3)]
+    arr = ExprArray(entries)
+    for kind in kinds:
+        stack.insert(data.draw(st.integers(block, len(stack))), _HAZARDS[kind][1])
+    outcomes = [_outcome(lambda: arr.values(p)) for p in stack]
+    errors = [o for o in outcomes if o[0] != "value"]
+    expected = errors[0] if errors else ("value", b"".join(o[1] for o in outcomes))
+    with mock.patch.object(expr, "BLOCK", block):
+        assert _outcome(lambda: arr.eval(np.array(stack))) == expected
+
+
+def test_stacked_eval_of_regular_blocks_runs_on_columns():
+    # No hazard: no block falls back to the point path.
+    entries = [parse(text, 3) for kind, (text, _) in _HAZARDS.items() if not kind.startswith("literal (0.0)")]
+    arr = ExprArray(entries + [e.diff(i) for e in entries for i in (1, 2, 3)])
+    points = np.random.default_rng(5).uniform(1.5, 2.5, (2 * BLOCK + 3, 3))
+    expected = np.array([arr.values(p) for p in points.tolist()])
+    with mock.patch.object(ExprArray, "values", side_effect=AssertionError("point path")):
+        assert arr.eval(points).tobytes() == expected.tobytes()
+
+
+# Tubes of a domain test on [-1, 1]^3: ln(x1) raises for x1 <= 0, and the
+# first tube excludes the origin before the second one's error.
+_TUBES = [("sqrt(x1^2 + x2^2)", 0.5), ("ln(x1)", -3.0), ("x3 / x2", -1.0), ("x3", float("-inf"))]
+_domain_coordinates = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3, -0.7, 1.5, float("nan"), float("inf"), 5e-324])
+
+
+def _walk_contains(domain, p):
+    if not all(lo <= x <= hi for (lo, hi), x in zip(domain.intervals, p)):
+        return False
+    return not any(tube.expr.eval(p) < tube.radius for tube in domain.tubes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(range(len(_TUBES))).flatmap(lambda order: st.just(order[:2]) | st.just(order)),
+       st.tuples(*[_domain_coordinates] * 3))
+@example((0, 1), (0.0, 0.0, 0.3))
+@example((1, 0), (-0.0, 0.0, 0.3))
+def test_domain_test_matches_the_tube_walk(order, p):
+    # The compiled domain test against the box comparisons and the per-tube
+    # Expr.eval walk: NaN, -0.0 and exact-bound coordinates, a raising
+    # tube, and an excluding tube before a later tube's error.
+    domain = box_domain(3, -1.0, 1.0, tubes=[ExclusionTube(parse(_TUBES[k][0], 3), _TUBES[k][1]) for k in order])
+    assert _outcome(lambda: domain.contains(np.array(p))) == _outcome(lambda: _walk_contains(domain, p))
+    assert _outcome(lambda: domain._inside(*p)) == _outcome(lambda: _walk_contains(domain, p))
 
 
 # Signed zeros, infinities and NaN, where a fold that is not exact shows.

@@ -3,6 +3,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +202,8 @@ def _with(doc, **changes):
 _GEODESIC = {"p0": [0.5, 0.4, 0.3, 0.2], "v0": [0.0, 1.0, 0.0, 0.0], "length": 0.5}
 _THRESHOLD_V0 = [5.844416210671739e-13, 6.110858467135888e-13, -4.427439595952497e-13, -2.982949308195329e-13]
 # A conformal metric x1 * 1e308 * 10: its x1-derivative overflows to inf, so
-# the RK4 stage points turn NaN, where the metric is not finite.
+# the Christoffel symbols are not finite at any point, and the metric itself
+# overflows to inf for x1 above about 0.18.
 _CONFORMAL_INF = _with(MINIMAL, source={
     "dim": 4,
     "metric": [["x1 * 1e308 * 10" if i == j else "0" for j in range(4)] for i in range(4)],
@@ -311,11 +313,17 @@ _CONFORMAL_INF = _with(MINIMAL, source={
             ["geodesic", "--p0=1e308,0,0,0", "--v0=1,0,0,0"], _WARPED,
             "outside sampling domain", id="geodesic-far-p0-overflowing-metric",
         ),
-        # The stage points turn NaN (see _CONFORMAL_INF): a metric value
-        # that is not finite is singular.
+        # The symbols are not finite at the start (see _CONFORMAL_INF), and
+        # the error names it, not a later stage point.
         pytest.param(
             ["geodesic", "--p0=0.1,0,0,0", "--v0=1,0,0,0"], _CONFORMAL_INF,
-            "error: SingularMetricError: metric is singular at", id="geodesic-metric-overflows-to-inf",
+            "error: GeometryError: Christoffel symbols are not finite at [0.1, 0.0, 0.0, 0.0]",
+            id="geodesic-metric-overflows-to-inf",
+        ),
+        # A metric value that is not finite is singular, at the sample.
+        pytest.param(
+            ["check"], _CONFORMAL_INF,
+            "error: SingularMetricError: metric is singular at [", id="metric-overflows-to-inf",
         ),
         pytest.param(
             ["check"], _with(MINIMAL, geodesics=[dict(_GEODESIC, v0=[1.0e200, 0, 0, 0])]),
@@ -879,6 +887,30 @@ def test_cli_geodesic_writes_rows(tmp_path):
     assert len(data) == 2001
     assert abs(data[:, -1] - 1.0).max() < 1e-6  # invariant column constant 1
     assert abs(data[0, 1] - 1.0) < 1e-15
+
+
+def test_geodesic_csv_memory_is_one_block(tmp_path, scenario_ii):
+    # The CSV is written one expr.blocks slice of rows at a time, with the
+    # bytes of the whole text built at once.
+    n = 20001
+    s = 1e-4 * np.arange(n)
+    v0 = np.array([0.1, 0.8, 0.3, 0.2])
+    points = np.array([1.0, 0.2, 0.1, -0.2]) + s[:, None] * v0
+    traj = geometry.GeodesicTrajectory.from_samples(scenario_ii.M, s, points, np.tile(v0, (n, 1)), 1e-4)
+    sin_theta, invariant = clairaut.invariant_series(scenario_ii, traj)
+    out = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        cli._write_file(str(out), cli._csv_chunks(traj, sin_theta, invariant), "--out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = np.column_stack([traj.s, traj.points, traj.velocities, sin_theta, invariant])
+    rows = ["s,x1,x2,x3,x4,v1,v2,v3,v4,sin_theta,invariant"] + [",".join(map(repr, row.tolist())) for row in table]
+    text = "\n".join(rows) + "\n"
+    assert out.read_text() == text
+    # One block's rows, as floats and text (about 0.2 MB): not the 2.3 MB text.
+    assert len(text) > 2**21 and peak < 2**19
 
 
 def test_cli_geodesic_horizontal_sin_theta_zero(tmp_path):
