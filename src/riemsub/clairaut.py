@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import DomainError, Expr, ExprArray, Func, blocks
+from .expr import Expr, ExprArray, Func, blocks
 from .geometry import GeodesicTrajectory, ManifoldSpec
 from .hermitian import AlmostComplexField, _nabla_phi
 from .report import CheckReport, Tolerances
@@ -70,9 +70,9 @@ class ClairautScenario:
         return self.F.source
 
     @functools.cached_property
-    def _f_values(self) -> ExprArray:
-        """``f`` as one array, compiled once for every curve."""
-        return ExprArray(self.f)
+    def _exp_f(self) -> ExprArray:
+        """``e^f`` as the expression ``exp(f)``, compiled once for every curve."""
+        return ExprArray(Func("exp", self.f))
 
     @property
     def N(self) -> ManifoldSpec:
@@ -163,8 +163,10 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     computed from the splitting: ``sin(theta) = |vertical part| / |velocity|``.
     The work runs in blocks of samples (``expr.blocks``), one state each, and
     in this order: the speeds at every sample, then the vertical parts, then
-    ``e^f`` at every sample.  Raises :class:`ValueError` for a sample slower
-    than ``MIN_SPEED`` and :class:`DomainError` where ``e^f`` overflows.
+    ``e^f`` at every sample, evaluated as the expression ``exp(f)``.  Raises
+    :class:`ValueError` for a sample slower than ``MIN_SPEED``, and the
+    :class:`DomainError` of the first sample where ``exp(f)`` fails: an
+    error in ``f`` itself, or ``exponential overflows``.
     """
     points, velocities = traj.points, traj.velocities
     speed = np.empty(len(points))
@@ -176,12 +178,7 @@ def invariant_series(sc: ClairautScenario, traj: GeodesicTrajectory):
     for b in blocks(len(points)):
         st = SampleState(points[b], sc.M, sc.F)
         sin_theta[b] = st.norm(st.vertical_part(velocities[b])) / speed[b]
-    invariant = sc._f_values.eval(points)
-    with np.errstate(over="raise"):
-        try:
-            np.exp(invariant, out=invariant)
-        except FloatingPointError:
-            raise DomainError("exponential overflows", Func("exp", sc.f)) from None
+    invariant = sc._exp_f.eval(points)
     invariant *= sin_theta
     return sin_theta, invariant
 

@@ -345,7 +345,6 @@ _COMPILED_GLOBALS = {
     "_nonzero": _nonzero,
     "_col": _col,
     "_np_sqrt": np.sqrt,
-    "_float": float,
     "_pow": math.pow,
     "_sqrt": math.sqrt,
     "_ln": math.log,
@@ -358,53 +357,44 @@ _COMPILED_GLOBALS = {
 class ExprArray:
     """Nested array of expressions evaluated by one compiled function.
 
-    ``eval`` returns a float array of the nesting's shape, equal bit for bit
-    to evaluating each entry with ``Expr.eval`` at the point, converted to
-    floats; at a stack of points, any 2-D array-like ``(N, m)``, it returns
-    the values at each point stacked along a leading axis of length ``N``:
-    each point's ``values``, or the first failing point's error.  ``diff``
-    builds the array of partial derivatives.  Two functions are generated
-    at first use, both straight-line Python from ``_walk``, which computes
-    each structurally distinct subexpression once, with the same float
-    operation per node.  The point function works on Python floats; if it
-    raises, the entries are evaluated again by the per-node walk, which
-    raises the reference error (a :class:`DomainError` naming the first
-    singular node).  The column function evaluates a block of ``BLOCK``
-    points at once, one numpy column per variable (see
-    :func:`_compile_columns`); if it raises, that block is evaluated point
-    by point.  An array of constants is stored instead.
+    ``eval`` at a stack of points, any 2-D array-like ``(N, m)``, returns
+    the values at each point stacked along a leading axis of length ``N``,
+    each equal bit for bit to evaluating every entry with ``Expr.eval`` at
+    that point, converted to floats, or the first failing point's error.
+    One point, a 1-D array-like, is the one-row stack ``point[None]``, and
+    its values come back in the nesting's shape.  ``diff`` builds the array
+    of partial derivatives.  The function is generated at first use, by
+    :func:`_compile_columns` from ``_walk``: straight-line Python that
+    evaluates a block of ``BLOCK`` points at once, one numpy column per
+    variable, and computes each structurally distinct subexpression once,
+    with the same float operation per node.  A block that raises is
+    evaluated again point by point by the per-node walk, which gives the
+    reference: the inf of an overflowing product, say, or the
+    :class:`DomainError` naming the first singular node.
     """
 
-    __slots__ = ("entries", "shape", "_const", "_fn", "_cols")
+    __slots__ = ("entries", "shape", "_cols")
 
     def __init__(self, nested):
         entries = []
         self.shape = _flatten(nested, entries)
         self.entries = tuple(entries)
-        self._fn = self._cols = None
-        self._const = None
-        if all(isinstance(e, Const) for e in self.entries):
-            const = np.array([e.value for e in self.entries]).reshape(self.shape)
-            const.flags.writeable = False
-            self._const = const
+        self._cols = None
 
     def eval(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
         if point.ndim != 2:
-            return self._const if self._const is not None else np.array(self.values(point)).reshape(self.shape)
-        out = np.empty((len(point),) + self.shape)
-        if self._const is not None:
-            out[...] = self._const
-            return out
+            return self.eval(point[None])[0]
         if self._cols is None:
             self._cols = _compile_columns(self.entries)
+        out = np.empty((len(point),) + self.shape)
         flat = out.reshape(len(point), len(self.entries))
         with np.errstate(all="raise", under="ignore"):
             for b in blocks(len(point)):
                 try:
                     self._cols(point[b].T, flat[b].T)
                 except (ArithmeticError, ValueError):
-                    flat[b] = [self.values(row) for row in point[b].tolist()]
+                    flat[b] = [[e.eval(row) for e in self.entries] for row in point[b].tolist()]
         return out
 
     def diff(self, dim: int) -> "ExprArray":
@@ -412,17 +402,6 @@ class ExprArray:
         length ``dim``: entry ``[..., i]`` is ``d/dx_{i+1}`` of entry ``[...]``."""
         flat = np.array([e.diff(i + 1) for e in self.entries for i in range(dim)], dtype=object)
         return ExprArray(flat.reshape(self.shape + (dim,)))
-
-    def values(self, point):
-        """Entry values at one point, a sequence of Python floats in entry
-        order, without ``eval``'s array; the per-node walk raises the error.
-        ``point`` is any sequence of floats."""
-        if self._fn is None:
-            self._fn = _compile(self.entries)
-        try:
-            return self._fn(point)
-        except (ArithmeticError, ValueError):
-            return [e.eval(point) for e in self.entries]
 
 
 def _flatten(nested, entries: list) -> tuple:
@@ -437,7 +416,7 @@ def _flatten(nested, entries: list) -> tuple:
 
 
 # The literal operands that leave the other operand's float unchanged.
-_RIGHT_UNITS = {Sub: "(0.0)", Add: "(-0.0)", Mul: "(1.0)", Div: "(1.0)"}
+_RIGHT_UNITS = {Sub: "(0.0)", Add: "(-0.0)", Mul: "(1.0)", Div: "(1.0)", Pow: "(1.0)"}
 _LEFT_UNITS = {Add: "(-0.0)", Mul: "(1.0)"}
 
 
@@ -449,8 +428,8 @@ def _walk(entries, var, prefix: str, columns: bool = False):
     distinct subexpression is computed once, by its node's float operation.
     Only exact IEEE identities fold: an operation on finite literals is done
     here by ``eval`` (unless it raises), and ``t - 0.0``, ``t + -0.0``,
-    ``-0.0 + t``, ``t * 1.0``, ``1.0 * t`` and ``t / 1.0`` are ``t``
-    (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
+    ``-0.0 + t``, ``t * 1.0``, ``1.0 * t``, ``t / 1.0`` and ``t ^ 1.0`` are
+    ``t`` (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
 
     With ``columns``, every variable is a numpy column, and so is every
     operation on one: ``+ - * /``, negation and ``sqrt`` are numpy's,
@@ -543,22 +522,16 @@ def _define(source: str, constants: dict):
     return namespace["_f"]
 
 
-def _compile(entries):
-    """Straight-line function of a point returning the tuple of entry values."""
-    lines, results, constants = _walk(entries, lambda i: f"_float(p[{i - 1}])", "t")
-    body = "".join(f"    {line}\n" for line in lines)
-    return _define(f"def _f(p):\n{body}    return ({', '.join(results)},)\n", constants)
-
-
 def _compile_columns(entries):
     """Straight-line function ``_f(p, o)`` of a block of points, ``p[i]`` the
     column of ``x<i+1>``, that writes the column of entry k to ``o[k]`` (see
     ``_walk`` with ``columns``).  Run under ``np.errstate(all="raise")``,
     any floating-point error raises, so what does not raise has the bits of
-    the point function: IEEE 754 rounds ``+ - * /`` and ``sqrt`` correctly.
-    An entry is written out where it is computed, and a temporary's name is
-    reused once its value is last read, so a block holds few columns at
-    once and the source stays as short as the point function's."""
+    Python floats, those of ``Expr.eval``: IEEE 754 rounds ``+ - * /`` and
+    ``sqrt`` correctly.  An entry is written out where it is computed, and a
+    temporary's name is reused once its value is last read, so a block
+    holds few columns at once and the source stays short (it is compiled at
+    first use, where the compiler's peak memory shows)."""
     lines, results, constants = _walk(entries, lambda i: f"p[{i - 1}]", "t", columns=True)
     outputs = {}
     for k, result in enumerate(results):

@@ -1,8 +1,11 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from riemsub.clairaut import ClairautScenario
-from riemsub.expr import parse
+from riemsub.expr import Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, parse
 from riemsub.geometry import ExclusionTube, ManifoldSpec, box_domain
 from riemsub.hermitian import AlmostComplexField
 from riemsub.presets import (
@@ -19,6 +22,27 @@ def one_row(point, M, F=None, J=None, f=None):
     """The per-sample state at the single point ``point``: each stacked
     kernel's row 0 is its value there."""
     return SampleState(np.asarray(point, dtype=float)[None], M, F, J, f)
+
+
+@contextlib.contextmanager
+def no_tree_walk():
+    """Make the per-node ``Expr.eval`` of all nine node types raise an
+    AssertionError at any non-empty point: compiled code that falls back to
+    the tree walk fails instead.  Code generation still evaluates literal
+    operations at the empty point ``()``."""
+
+    def guarded(walk):
+        def eval(self, point):
+            if len(point):
+                raise AssertionError(f"tree walk of {self} at {list(point)}")
+            return walk(self, point)
+
+        return eval
+
+    with contextlib.ExitStack() as stack:
+        for node in (Const, Var, Add, Sub, Mul, Div, Pow, Neg, Func):
+            stack.enter_context(mock.patch.object(node, "eval", guarded(node.eval)))
+        yield
 
 
 def metric_norm(g, v):

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -23,7 +24,7 @@ from riemsub.clairaut import (
     invariant_series,
     pq_curve_residual,
 )
-from riemsub.expr import BLOCK, DomainError, ExprArray, parse
+from riemsub.expr import BLOCK, DomainError, parse
 from riemsub.geometry import (
     GeodesicTrajectory,
     box_domain,
@@ -266,10 +267,11 @@ def test_invariant_series_rejects_a_slow_sample_mid_curve(scenario_ii):
 
 def _whole_series(sc, traj):
     """The invariant series from one state over the whole trajectory, with
-    ``e^f`` from a list of per-point values: the oracle of the blocks."""
+    ``e^f`` from ``math.exp`` of each point's tree walk: the oracle of the
+    blocks."""
     st = SampleState(traj.points, sc.M, sc.F)
     sin_theta = st.norm(st.vertical_part(traj.velocities)) / st.norm(traj.velocities)
-    exp_f = np.exp(np.array([ExprArray(sc.f).values(p) for p in traj.points]).reshape(-1))
+    exp_f = np.array([math.exp(sc.f.eval(p)) for p in traj.points.tolist()])
     return sin_theta, exp_f * sin_theta
 
 

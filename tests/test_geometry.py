@@ -340,7 +340,7 @@ def _acceleration(M):
     the Christoffel contraction on any other."""
     if M._geodesic_rate is None:
         return lambda x, v: -np.einsum("kij,i,j->k", christoffel(M, x), v, v)
-    return lambda x, v: np.array(M._geodesic_rate.values(np.concatenate([x, v]).tolist())[M.dim :])
+    return lambda x, v: M._geodesic_rate.eval(np.concatenate([x, v]))[M.dim :]
 
 
 def _reference_rk4(M, p0, v0, n_steps, step, acceleration):

@@ -58,7 +58,7 @@ from riemsub.submersion import (
     tensor_T,
 )
 
-from conftest import build_scenario_ii, build_warped_map
+from conftest import build_scenario_ii, build_warped_map, no_tree_walk
 
 # ---------------------------------------------------------------------------
 # Compiled evaluation against the tree walk
@@ -112,14 +112,34 @@ def _outcome(evaluate):
     return "value", np.where(np.isnan(values), np.nan, values).tobytes()
 
 
+def _walk_values(entries, p):
+    """The reference: each entry's ``Expr.eval`` at the point ``p``."""
+    return [x.eval(p) for x in entries]
+
+
+def _float_values(entries, p):
+    """The entries at ``p`` (three coordinates) through their float-mode
+    code from ``expr._walk``, generated as ``SamplingDomain._inside`` and
+    ``geometry._rk4_loop`` generate theirs; where that code raises, the
+    walk raises the reference error, as ``_inside`` does."""
+    lines, results, constants = expr._walk(entries, lambda i: f"x{i}", "t")
+    body = "".join(f"    {line}\n" for line in lines)
+    f = expr._define(f"def _f(x1, x2, x3):\n{body}    return ({', '.join(results)},)\n", constants)
+    try:
+        return f(*map(float, p))
+    except (ArithmeticError, ValueError):
+        return _walk_values(entries, p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(expressions, points)
 def test_compiled_matches_tree_walk_bit_for_bit(e, p):
     # The expression with its partial derivatives: shared subtrees, so the
     # compiled function reuses values across entries.
     entries = (e,) + tuple(e.diff(i) for i in (1, 2, 3))
-    reference = _outcome(lambda: [x.eval(p) for x in entries])
+    reference = _outcome(lambda: _walk_values(entries, p))
     assert _outcome(lambda: ExprArray(entries).eval(p)) == reference
+    assert _outcome(lambda: _float_values(entries, p)) == reference
     # The derivative builder: the same trees along a new last axis.
     reference = _outcome(lambda: [x.eval(p) for x in entries[1:]])
     assert _outcome(lambda: ExprArray((e,)).diff(3).eval(p)) == reference
@@ -131,7 +151,7 @@ def test_stacked_eval_is_each_points_values_bit_for_bit(e, stack, block):
     # A stack streams each point's values in blocks of ``block`` points:
     # the values of every point, or the error of the first failing one.
     arr = ExprArray((e,) + tuple(e.diff(i) for i in (1, 2, 3)))
-    outcomes = [_outcome(lambda: arr.values(p)) for p in stack]
+    outcomes = [_outcome(lambda: _walk_values(arr.entries, p)) for p in stack]
     errors = [o for o in outcomes if o[0] != "value"]
     expected = errors[0] if errors else ("value", b"".join(o[1] for o in outcomes))
     with mock.patch.object(expr, "BLOCK", block):
@@ -178,7 +198,7 @@ def test_stacked_eval_with_hazards_in_a_later_block(kinds, block, stack, data):
     arr = ExprArray(entries)
     for kind in kinds:
         stack.insert(data.draw(st.integers(block, len(stack))), _HAZARDS[kind][1])
-    outcomes = [_outcome(lambda: arr.values(p)) for p in stack]
+    outcomes = [_outcome(lambda: _walk_values(arr.entries, p)) for p in stack]
     errors = [o for o in outcomes if o[0] != "value"]
     expected = errors[0] if errors else ("value", b"".join(o[1] for o in outcomes))
     with mock.patch.object(expr, "BLOCK", block):
@@ -186,13 +206,14 @@ def test_stacked_eval_with_hazards_in_a_later_block(kinds, block, stack, data):
 
 
 def test_stacked_eval_of_regular_blocks_runs_on_columns():
-    # No hazard: no block falls back to the point path.
+    # No hazard: no block, and no single point, falls back to the tree walk.
     entries = [parse(text, 3) for kind, (text, _) in _HAZARDS.items() if not kind.startswith("literal (0.0)")]
     arr = ExprArray(entries + [e.diff(i) for e in entries for i in (1, 2, 3)])
     points = np.random.default_rng(5).uniform(1.5, 2.5, (2 * BLOCK + 3, 3))
-    expected = np.array([arr.values(p) for p in points.tolist()])
-    with mock.patch.object(ExprArray, "values", side_effect=AssertionError("point path")):
+    expected = np.array([_walk_values(arr.entries, p) for p in points.tolist()])
+    with no_tree_walk():
         assert arr.eval(points).tobytes() == expected.tobytes()
+        assert arr.eval(points[-1]).tobytes() == expected[-1].tobytes()
 
 
 # Tubes of a domain test on [-1, 1]^3: ln(x1) raises for x1 <= 0, and the
@@ -228,7 +249,7 @@ _special_trees = st.recursive(
     lambda children: st.one_of(
         st.tuples(st.sampled_from([Add, Sub, Mul, Div]), children, children).map(lambda t: t[0](t[1], t[2])),
         children.map(Neg),
-        st.tuples(children, st.sampled_from([2.0, -1.0, 0.5])).map(lambda t: Pow(*t)),
+        st.tuples(children, st.sampled_from([2.0, -1.0, 0.5, 1.0])).map(lambda t: Pow(*t)),
         children.map(lambda c: Func("exp", c)),
     ),
     max_leaves=8,
@@ -239,26 +260,39 @@ _special_trees = st.recursive(
 @given(_special_trees, st.tuples(*[st.sampled_from(_SPECIAL)] * 3))
 def test_folded_code_matches_tree_walk_bit_for_bit(e, p):
     # The folds (t - 0.0, t + -0.0, -0.0 + t, t * 1.0, 1.0 * t, t / 1.0,
-    # operations on finite literals) and the operations left alone (t + 0.0,
-    # 0.0 * t, 0.0 / t).  Each on its own, so that an error in one does not
-    # hide another.
+    # t ^ 1.0, operations on finite literals) and the operations left alone
+    # (t + 0.0, 0.0 * t, 0.0 / t), in the float-mode and the column code.
+    # Each on its own, so that an error in one does not hide another.
     for x in (e, Sub(e, Const(0.0)), Add(e, Const(-0.0)), Add(Const(-0.0), e),
-              Mul(e, Const(1.0)), Mul(Const(1.0), e), Div(e, Const(1.0)),
+              Mul(e, Const(1.0)), Mul(Const(1.0), e), Div(e, Const(1.0)), Pow(e, 1.0),
               Add(e, Const(0.0)), Mul(Const(0.0), e), Div(Const(0.0), e)):
-        assert _outcome(lambda: ExprArray((x,)).values(p)) == _outcome(lambda: [x.eval(p)])
+        reference = _outcome(lambda: _walk_values((x,), p))
+        assert _outcome(lambda: _float_values((x,), p)) == reference
+        assert _outcome(lambda: ExprArray((x,)).eval(p)) == reference
 
 
 def test_fold_drops_exact_operations_on_zeros():
-    # The warped geodesic rate: 11 of its 87 lines took a (0.0) operand
+    # The warped geodesic rate: 11 of its 82 lines took a (0.0) operand
     # before the fold, and 2 divided by (1.0). The 8 left are not exact:
     # 0.0 * t, t + 0.0, 0.0 - t and 0.0 + t differ from their folds at -0.0,
     # inf or nan.
     M = build_warped_map().source
-    lines, _, _ = expr._walk(M._geodesic_rate.entries, lambda i: f"_float(p[{i - 1}])", "t")
+    lines, _, _ = expr._walk(M._geodesic_rate.entries, lambda i: f"z{i - 1}", "t")
     zeros = [line.split(" = ")[1] for line in lines if "(0.0)" in line]
-    assert (len(lines), len(zeros)) == (78, 8)
+    assert (len(lines), len(zeros)) == (73, 8)
     assert all(z.startswith("(0.0) ") or z.endswith(" + (0.0)") for z in zeros)
     assert not any("(1.0)" in line for line in lines)
+
+
+def test_fold_drops_first_powers():
+    # d/dx (x^2) is 2.0 * x^1.0 * dx, and x^1.0 is x: example-ii's column
+    # code maps math.pow over 2 columns, not 4, in its Jacobian and the
+    # partials of f, and over 4, not 6, in its Hessian.
+    sc = build_scenario_ii()
+    for arr, pows in ((sc.F._jac, 2), (sc.F._hess, 4), (partials(sc.f, 4), 2)):
+        lines, _, _ = expr._walk(arr.entries, lambda i: f"p[{i - 1}]", "t", columns=True)
+        assert sum("_col(_pow, " in line for line in lines) == pows
+        assert not any(", (1.0))" in line for line in lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,13 +419,6 @@ def test_derivative_accessors_match_tree_walk_bit_for_bit():
         assert values.tobytes() == np.array(walk).tobytes()
     # A nested list is a stack of points too.
     assert partials(ex2.f, 4).eval(P.tolist()).tobytes() == partials(ex2.f, 4).eval(P).tobytes()
-
-
-def test_constant_array_is_stored_read_only():
-    arr = ExprArray((parse("1", 2), parse("2.5", 2)))
-    assert arr.eval((0.0, 0.0)) is arr.eval((3.0, 4.0))
-    with pytest.raises(ValueError):
-        arr.eval((0.0, 0.0))[0] = 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from riemsub.scenario import (
     resolve_scenario_path,
 )
 
+from conftest import no_tree_walk
+
 MINIMAL = {
     "name": "mini",
     "source": {
@@ -722,6 +724,27 @@ def test_warped_geodesic_takes_the_compiled_rate_at_every_stage(monkeypatch):
     assert len(traj) == 1001
     assert rates == []
     assert calls == []
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("command", [
+    *(["check", name] for name in bundled_scenario_names()),
+    ["check", _WARPED_FILE],
+    ["check", str(_FIXTURES / "mixed-geodesics.yaml")],
+    ["check", str(_FIXTURES / "curved-geodesics.yaml")],
+    ["geodesic", "example-ii"],
+    ["geodesic", "h2xh2"],
+], ids=lambda command: f"{command[0]}-{Path(command[1]).stem}")
+def test_commands_evaluate_no_expression_tree_point_by_point(command, tmp_path):
+    # Every expression array, the domain test and the RK4 loop run compiled
+    # code: a fallback to the per-node walk, a hidden slowdown, fails here.
+    with no_tree_walk():
+        if command[0] == "check":
+            run_scenario(resolve_scenario_path(command[1]))
+        else:
+            assert main([*command, "--out", str(tmp_path / "curve.csv")]) == 0
 
 
 def test_example_ii_evaluates_the_fiber_shape_tensor_once(monkeypatch):
