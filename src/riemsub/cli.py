@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -258,15 +258,21 @@ def run_scenario(
     overrides = {"seed": seed, "count": samples}
     sc.sampling = replace(sc.sampling, **{k: v for k, v in overrides.items() if v is not None})
     sc.tolerances = tol = sc.tolerances.scaled(tolerance_scale)
+    for key, value in asdict(tol).items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ScenarioValidationError(
+                f"--tolerance-scale: scaled tolerances.{key} is {value!r}, must be finite and positive"
+            )
     for i, cfg in enumerate(bundle.geodesics):
         _check_regular_start(sc.M, cfg, f"geodesics[{i}].v0")
 
     rngs = [np.random.default_rng(x) for x in np.random.SeedSequence(sc.sampling.seed).spawn(5)]
     pts = sample_points(sc.M.domain, sc.sampling.count, rngs[0])
     sc.M.validate(pts)
-    sc.N.validate(sc.F.map_point(pts[:25]))
-
     run = _Run(sc, tol, rngs, SampleState(pts, sc.M, sc.F, sc.J, sc.f), {})
+    # Every check reads the target metric at every mapped sample.
+    sc.N.validate(run.state.map_points)
+
     checks = _run_checks([e for e in CHECKS if not e[0].startswith("geodesic-")], run)
     for stack in _geodesic_stacks(bundle.geodesics):
         cfgs = [bundle.geodesics[i] for i in stack]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -251,7 +252,7 @@ class Neg(Expr):
 
 
 class Func(Expr):
-    """Call of one of the built-in unary functions."""
+    """Call of one of the built-in unary functions (the keys of ``_FUNCTIONS``)."""
 
     __slots__ = ("name", "arg")
 
@@ -262,42 +263,47 @@ class Func(Expr):
         object.__setattr__(self, "arg", arg)
 
     def eval(self, point) -> float:
-        v = self.arg.eval(point)
-        if self.name == "sqrt":
-            if v < 0.0:
-                raise DomainError("square root of a negative value", self)
-            return math.sqrt(v)
-        if self.name == "ln":
-            if v <= 0.0:
-                raise DomainError("logarithm of a non-positive value", self)
-            return math.log(v)
-        if self.name == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError("exponential overflows", self) from None
-        if math.isinf(v):  # math.sin and math.cos reject it
-            raise DomainError(f"{self.name} of an infinite value", self)
-        return math.sin(v) if self.name == "sin" else math.cos(v)
+        v = self.arg.eval(point)  # outside the try: only this call is this node's error
+        function = _FUNCTIONS[self.name]
+        try:
+            return function.scalar(v)
+        except (ValueError, OverflowError):
+            raise DomainError(function.message, self) from None
 
     def diff(self, index: int) -> Expr:
-        u = self.arg
-        du = u.diff(index)
-        if self.name == "sqrt":
-            return Div(du, Mul(Const(2.0), Func("sqrt", u)))
-        if self.name == "ln":
-            return Div(du, u)
-        if self.name == "exp":
-            return Mul(Func("exp", u), du)
-        if self.name == "sin":
-            return Mul(Func("cos", u), du)
-        return Mul(Neg(Func("sin", u)), du)
+        return _FUNCTIONS[self.name].diff(self.arg, self.arg.diff(index))
 
     def __str__(self) -> str:
         return f"{self.name}({self.arg})"
 
 
-_FUNCTIONS = ("sqrt", "ln", "exp", "sin", "cos")
+class _Function(NamedTuple):
+    """A built-in unary function.  ``scalar``, a ``math`` function, raises
+    ``ValueError`` or ``OverflowError`` exactly where the function is
+    undefined, and :class:`DomainError` carries ``message`` there.
+    ``diff(u, du)`` is the derivative of ``f(u)`` given that of ``u``.
+    ``column``, if not None, is a numpy function with ``scalar``'s bits on a
+    column (IEEE 754 rounds it correctly); compiled code calls it as
+    ``_np_<name>``, and ``scalar`` as ``_<name>``."""
+
+    scalar: Callable
+    message: str
+    diff: Callable
+    column: Callable | None = None
+
+
+_FUNCTIONS = {
+    "sqrt": _Function(math.sqrt, "square root of a negative value",
+                      lambda u, du: Div(du, Mul(Const(2.0), Func("sqrt", u))), np.sqrt),
+    "ln": _Function(math.log, "logarithm of a non-positive value", lambda u, du: Div(du, u)),
+    "exp": _Function(math.exp, "exponential overflows", lambda u, du: Mul(Func("exp", u), du)),
+    "sin": _Function(math.sin, "sin of an infinite value", lambda u, du: Mul(Func("cos", u), du)),
+    "cos": _Function(math.cos, "cos of an infinite value", lambda u, du: Mul(Neg(Func("sin", u)), du)),
+}
+
+# The binary operators by symbol; each class's ``_level`` is its precedence
+# for the parser as for the printer.
+_BINARY = {cls._symbol: cls for cls in (Add, Sub, Mul, Div)}
 
 
 def is_zero(e: Expr) -> bool:
@@ -344,13 +350,9 @@ def _col(f, column, *constants):
 _COMPILED_GLOBALS = {
     "_nonzero": _nonzero,
     "_col": _col,
-    "_np_sqrt": np.sqrt,
     "_pow": math.pow,
-    "_sqrt": math.sqrt,
-    "_ln": math.log,
-    "_exp": math.exp,
-    "_sin": math.sin,
-    "_cos": math.cos,
+    **{f"_{name}": function.scalar for name, function in _FUNCTIONS.items()},
+    **{f"_np_{name}": function.column for name, function in _FUNCTIONS.items() if function.column},
 }
 
 
@@ -432,9 +434,9 @@ def _walk(entries, var, prefix: str, columns: bool = False):
     ``t`` (``t + 0.0`` is not at -0.0, nor ``0.0 * t`` at inf).
 
     With ``columns``, every variable is a numpy column, and so is every
-    operation on one: ``+ - * /``, negation and ``sqrt`` are numpy's,
-    ``pow``, ``exp``, ``ln``, ``sin`` and ``cos`` map ``math`` over the
-    column (``_col``), and a division or negative power raises
+    operation on one: ``+ - * /``, negation and a function with a
+    ``column`` are numpy's, ``pow`` and the other functions map ``math``
+    over the column (``_col``), and a division or negative power raises
     :class:`ZeroDivisionError` for a zero anywhere in its divisor or base,
     as Python floats do and numpy does not.  Literal operations stay on
     Python floats.
@@ -500,7 +502,7 @@ def _walk(entries, var, prefix: str, columns: bool = False):
         if column and key[0] is Pow:
             code = f"_col(_pow, {key[1]}, {key[2]})"
         elif column and isinstance(key[0], str):
-            code = f"_np_sqrt({key[1]})" if key[0] == "sqrt" else f"_col(_{key[0]}, {key[1]})"
+            code = f"_np_{key[0]}({key[1]})" if _FUNCTIONS[key[0]].column else f"_col(_{key[0]}, {key[1]})"
         name = names.get(key)
         if name is None:
             name = names[key] = f"{prefix}{len(names)}"
@@ -561,7 +563,7 @@ def partials(e: Expr, dim: int) -> ExprArray:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+_OPS = {*_BINARY, "^", "(", ")"}
 
 
 def _tokenize(text: str):
@@ -629,20 +631,13 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", tok[2])
         return tok
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
+    def parse_expr(self, level: int = _P_ADD) -> Expr:
+        """A left-associative chain of the binary operators of ``level`` or
+        above, each operand one binding tighter than its operator."""
         node = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.parse_unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        while (cls := _BINARY.get(self.peek()[0])) is not None and cls._level >= level:
+            self.next()
+            node = cls(node, self.parse_expr(cls._level + 1))
         return node
 
     def parse_unary(self) -> Expr:

@@ -85,7 +85,7 @@ class CheckReport:
             "ref": self.ref,
             "samples": self.samples,
             "max_residual": _jsonify(float(self.max_residual)),
-            "tolerance": float(self.tolerance),
+            "tolerance": _jsonify(float(self.tolerance)),
             "verdict": self.verdict,
             "details": _jsonify(self.details),
         }
@@ -119,8 +119,9 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
-        """Deterministic machine rendering: fixed key order, repr floats."""
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """Deterministic machine rendering: fixed key order, repr floats,
+        strict JSON (a NaN or infinity raises)."""
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         w = max([len("ref")] + [len(c.ref) for c in self.checks])

@@ -114,6 +114,8 @@ def _load_domain(raw, dim: int, path: str) -> SamplingDomain:
         hi = _as_number(pair[1], f"{path}.intervals[{i}][1]")
         if hi <= lo:
             _err(f"{path}.intervals[{i}]", "upper bound must exceed lower bound")
+        if not math.isfinite(hi - lo):  # SamplingDomain.sample scales by it
+            _err(f"{path}.intervals[{i}]", "width hi - lo must be finite")
         intervals.append((lo, hi))
     tubes = []
     for i, tube_raw in enumerate(raw.get("exclude", []) or []):

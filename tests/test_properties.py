@@ -16,6 +16,8 @@ check's record the same to the bit.
 """
 
 import json
+import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -59,6 +61,57 @@ from riemsub.submersion import (
 )
 
 from conftest import build_scenario_ii, build_warped_map, no_tree_walk
+
+# ---------------------------------------------------------------------------
+# The built-in functions
+# ---------------------------------------------------------------------------
+
+# Where each built-in function is undefined, written out one by one as
+# ``Func.eval`` once tested it, with its message and its ``math`` value.
+# ``math.exp`` overflows exactly above the log of the largest float, and
+# returns inf at inf.
+_DOMAINS = {
+    "sqrt": (lambda v: v < 0.0, "square root of a negative value", math.sqrt),
+    "ln": (lambda v: v <= 0.0, "logarithm of a non-positive value", math.log),
+    "exp": (lambda v: math.isfinite(v) and v > math.log(sys.float_info.max), "exponential overflows", math.exp),
+    "sin": (math.isinf, "sin of an infinite value", math.sin),
+    "cos": (math.isinf, "cos of an infinite value", math.cos),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DOMAINS))
+@settings(max_examples=200, deadline=None)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(math.log(sys.float_info.max))
+@example(math.nextafter(math.log(sys.float_info.max), math.inf))
+def test_function_table_matches_the_domains(name, v):
+    undefined, message, reference = _DOMAINS[name]
+    e = Func(name, Var(1))
+    if undefined(v):
+        with pytest.raises(DomainError) as err:
+            e.eval([v])
+        assert str(err.value) == f"{message} in {name}(x1)"
+    else:
+        # repr tells -0.0 from 0.0, and reads every NaN as nan.
+        assert repr(e.eval([v])) == repr(reference(v))
+
+
+def test_function_error_names_its_own_node():
+    e = parse("sqrt(ln(x1 - 2))", 1)
+    with pytest.raises(DomainError, match=r"^logarithm of a non-positive value in ln\(x1 - 2.0\)$"):
+        e.eval([1.0])
+    with pytest.raises(DomainError, match=r"^square root of a negative value in sqrt\(ln\(x1 - 2.0\)\)$"):
+        e.eval([2.5])
+    # Only the function's own call is its domain error: a point that is not
+    # a number raises as it does in Var.eval.
+    with pytest.raises(ValueError, match="could not convert"):
+        e.eval(["two"])
+
 
 # ---------------------------------------------------------------------------
 # Compiled evaluation against the tree walk

@@ -358,6 +358,33 @@ _CONFORMAL_INF = _with(MINIMAL, source={
             ["check"], _with(MINIMAL, sampling={"count": 10**20}),
             "sampling.count: must be between 1 and 100000", id="sampling-count-over-cap",
         ),
+        # Scaled tolerances that overflow to inf would pass every check, and
+        # ones that underflow to 0 would fail every check.
+        pytest.param(
+            ["check", "--tolerance-scale", "1e10"],
+            _with(MINIMAL, tolerances={"algebraic": 1e300, "fd": 1e300, "drift": 1e300}),
+            "--tolerance-scale: scaled tolerances.algebraic is inf, must be finite and positive",
+            id="scaled-tolerance-overflows",
+        ),
+        pytest.param(
+            ["check", "--tolerance-scale", "1e-100"],
+            _with(MINIMAL, tolerances={"algebraic": 1e-300, "fd": 1e-300, "drift": 1e-300}),
+            "--tolerance-scale: scaled tolerances.algebraic is 0.0, must be finite and positive",
+            id="scaled-tolerance-underflows",
+        ),
+        # hi - lo overflows where a sample is drawn.
+        pytest.param(
+            ["check"], _with(MINIMAL, source=dict(MINIMAL["source"], domain={"intervals": [[-1.7e308, 1.7e308]] * 4})),
+            "source.domain.intervals[0]: width hi - lo must be finite", id="interval-width-overflows",
+        ),
+        # The target metric is validated at every mapped sample: with seed 1
+        # the first image with x1 <= 0.5 is that of sample 75 (counting from 0).
+        pytest.param(
+            ["check", "--seed", "1"],
+            _with(_EXAMPLE_II, target=dict(_EXAMPLE_II["target"], metric=[
+                ["1", "0", "0"], ["0", "x1 - 0.5", "0"], ["0", "0", "1"]])),
+            "error: GeometryError: metric not positive definite at [", id="target-metric-late-sample",
+        ),
         # Output files under a directory that does not exist ({missing}).
         pytest.param(
             ["check", "--report", "{missing}/r.json"], MINIMAL,
