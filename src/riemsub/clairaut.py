@@ -438,7 +438,6 @@ def check_pq_identities(
     caller-controlled; its residual is always reported.
     """
     st = _state(sc, samples)
-    rng = rng if rng is not None else np.random.default_rng(0)
     # Per sample, three triples (u, v, z) of g-unit vectors.
     u, v, z = np.moveaxis(st.unit_probes(rng, (3, 3)), 2, 0)
     # A structure that overflows makes inf - inf here: the residual is then

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -50,7 +51,6 @@ from .geometry import (
     GeodesicTrajectory,
     GeometryError,
     geodesic_integrate,
-    sample_points,
     step_count,
 )
 from .hermitian import check_nearly_kaehler, check_structure
@@ -239,6 +239,14 @@ def _curve_checks(run: _Run, i: int, result) -> list:
     return _run_checks(per_curve, curve, lambda name: name.replace("geodesic-", label, 1))
 
 
+def streams(seed: int) -> list:
+    """The five generators of a run at ``seed``: stream 0 draws the sample
+    points, streams 1 to 4 the probes of the checks that read random
+    vectors.  Each is seeded with the string ``"<seed>/<k>"``, which
+    ``random.Random`` hashes with SHA-512."""
+    return [random.Random(f"{seed}/{k}") for k in range(5)]
+
+
 def run_scenario(
     path,
     seed: int | None = None,
@@ -266,8 +274,8 @@ def run_scenario(
     for i, cfg in enumerate(bundle.geodesics):
         _check_regular_start(sc.M, cfg, f"geodesics[{i}].v0")
 
-    rngs = [np.random.default_rng(x) for x in np.random.SeedSequence(sc.sampling.seed).spawn(5)]
-    pts = sample_points(sc.M.domain, sc.sampling.count, rngs[0])
+    rngs = streams(sc.sampling.seed)
+    pts = sc.M.domain.sample(rngs[0], sc.sampling.count)
     sc.M.validate(pts)
     run = _Run(sc, tol, rngs, SampleState(pts, sc.M, sc.F, sc.J, sc.f), {})
     # Every check reads the target metric at every mapped sample.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,14 @@ class DomainExitError(GeometryError):
         self.trajectory = trajectory
         self.exit_point = np.asarray(exit_point, dtype=float)
         self.s = float(s)
+
+
+def uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` uniform floats in [0, 1), each a multiple of 2**-53: the top
+    53 bits of each little-endian 64-bit word of one ``rng.randbytes`` draw."""
+    if not isinstance(rng, random.Random):
+        raise TypeError(f"rng must be a random.Random, not {type(rng).__name__}")
+    return (np.frombuffer(rng.randbytes(8 * count), "<u8") >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -97,14 +106,14 @@ class SamplingDomain:
         see :attr:`_inside`."""
         return self._inside(*(point.tolist() if isinstance(point, np.ndarray) else map(float, point)))
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample(self, rng: random.Random, count: int) -> np.ndarray:
         """Draw ``count`` points uniformly, rejecting excluded ones."""
         lo = np.array([iv[0] for iv in self.intervals])
         hi = np.array([iv[1] for iv in self.intervals])
         points = np.empty((count, self.dim))
         for k in range(count):
             for _ in range(_MAX_SAMPLE_TRIES):
-                p = lo + (hi - lo) * rng.random(self.dim)
+                p = lo + (hi - lo) * uniforms(rng, self.dim)
                 if self.contains(p):
                     points[k] = p
                     break
@@ -568,7 +577,8 @@ def geodesic_integrate(M: ManifoldSpec, p0, v0, length, step: float):
     return results[0]
 
 
-def sample_points(domain: SamplingDomain, count: int, seed) -> np.ndarray:
+def sample_points(domain: SamplingDomain, count: int, seed: int | str) -> np.ndarray:
     """Seeded uniform samples from the domain (rejection sampling)."""
-    rng = np.random.default_rng(seed)
-    return domain.sample(rng, count)
+    if not isinstance(seed, (int, str)):
+        raise TypeError(f"seed must be an int or a str, not {type(seed).__name__}")
+    return domain.sample(random.Random(seed), count)

@@ -78,7 +78,6 @@ def check_structure(
     st = sample_state(samples, M, J=J)
     if len(st.points) == 0:
         raise ValueError("samples must be nonempty")
-    rng = rng if rng is not None else np.random.default_rng(0)
     vs = st.unit_probes(rng, (STRUCTURE_VECTORS,))
     ws = np.roll(vs, -1, axis=1)  # each vector paired with the next, cyclically
     A = st.phi
@@ -113,7 +112,6 @@ def check_nearly_kaehler(
     st = sample_state(samples, M, J=J)
     if len(st.points) == 0:
         raise ValueError("samples must be nonempty")
-    rng = rng if rng is not None else np.random.default_rng(0)
     probes = st.unit_probes(rng, (NEARLY_KAEHLER_PAIRS, 2))
     xv, yv = probes[:, :, 0], probes[:, :, 1]
     dxy = _nabla_phi(st, xv, yv)

@@ -24,12 +24,14 @@ axes after it, ``(N, ..., m)``.  The one-point helpers that remain
 
 from __future__ import annotations
 
+import math
+import random
 from functools import cached_property
 
 import numpy as np
 
 from .expr import partials
-from .geometry import RANK_RTOL, christoffel
+from .geometry import RANK_RTOL, christoffel, uniforms
 
 
 class SubmersionError(Exception):
@@ -212,9 +214,14 @@ class SampleState:
     def norm(self, v: np.ndarray) -> np.ndarray:
         return metric_norms(self.metric, v)
 
-    def unit_probes(self, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-        """Random g-unit vectors ``(N, *shape, m)``, drawn sample by sample."""
-        v = rng.standard_normal((len(self.points),) + shape + (self.M.dim,))
+    def unit_probes(self, rng: random.Random | None, shape: tuple) -> np.ndarray:
+        """Random g-unit vectors ``(N, *shape, m)``, drawn sample by sample:
+        uniform in the cube ``[-1, 1)^m``, then scaled to g-norm 1.  The map
+        from ``uniforms`` is exact IEEE arithmetic, so the bits do not depend
+        on numpy's vector math.  ``rng`` defaults to ``random.Random(0)``."""
+        shape = (len(self.points),) + shape + (self.M.dim,)
+        u = uniforms(random.Random(0) if rng is None else rng, math.prod(shape)).reshape(shape)
+        v = 2.0 * u - 1.0
         return v / self.norm(v)[..., None]
 
     # -- the map and the split -------------------------------------------

@@ -146,7 +146,6 @@ def check_skew(
 ) -> CheckReport:
     """Skew-symmetry of both tensors against random vector pairs."""
     st = sample_state(samples, F.source, F)
-    rng = rng if rng is not None else np.random.default_rng(0)
     N, m = st.points.shape
     probes = st.unit_probes(rng, (SKEW_PAIRS, 2))  # pairs (e, f) per sample
     residual = 0.0

@@ -5,6 +5,8 @@ lines.  Scenario reports are produced once per session and shared; the
 last test pins their shape.
 """
 
+import random
+
 import numpy as np
 import pytest
 import yaml
@@ -140,14 +142,14 @@ def test_criterion_5_nearly_kaehler_checker():
     M = euclidean_manifold(4)
     pts = sample_points(M.domain, 200, seed=42)
     canonical = check_nearly_kaehler(
-        M, AlmostComplexField(canonical_phi()), pts, rng=np.random.default_rng(7)
+        M, AlmostComplexField(canonical_phi()), pts, rng=random.Random(7)
     )
     ok = canonical.passed and canonical.max_residual < 1e-12
     twisted = check_nearly_kaehler(
-        M, AlmostComplexField(twisted_phi()), pts, rng=np.random.default_rng(7)
+        M, AlmostComplexField(twisted_phi()), pts, rng=random.Random(7)
     )
     per_sample = np.array(twisted.details["per_sample"])
-    # Oracle run with this seed: min per-sample residual 0.504, so every
+    # Oracle run with this seed: min per-sample residual 0.545, so every
     # sample clears the 1e-3 threshold.
     ok &= (not twisted.passed) and (per_sample > 1e-3).mean() >= 0.9
     _criterion(5, "canonical parallel < 1e-12; twisted fails at >= 90% samples", ok)
@@ -230,7 +232,7 @@ def test_criterion_8_theorem_residual_suite(report_i, report_ii):
 def test_criterion_9_pq_identities():
     sc = build_scenario_ii()
     pts = sample_points(sc.M.domain, 100, seed=6)
-    canonical = check_pq_identities(sc, pts, rng=np.random.default_rng(3))
+    canonical = check_pq_identities(sc, pts, rng=random.Random(3))
     ok = canonical.passed and canonical.max_residual < 1e-8
 
     from riemsub.clairaut import ClairautScenario
@@ -239,7 +241,7 @@ def test_criterion_9_pq_identities():
         name="twisted", J=AlmostComplexField(twisted_phi()), F=sc.F, f=sc.f
     )
     rep = check_pq_identities(
-        twisted, pts, rng=np.random.default_rng(4), include_antisymmetry=False
+        twisted, pts, rng=random.Random(4), include_antisymmetry=False
     )
     # Duality comes from compatibility alone, so the twisted structure must
     # satisfy it even though its antisymmetry residual is order one.

@@ -25,6 +25,7 @@ from riemsub.geometry import (
 )
 from riemsub.presets import conformal_r2, euclidean_manifold
 from riemsub.scenario import load_scenario, resolve_scenario_path
+from riemsub.state import SampleState
 
 from conftest import build_scenario_ii, build_warped_map
 
@@ -649,6 +650,20 @@ def test_exclusion_tube_sampling():
     assert radii.min() >= 0.5
     again = sample_points(domain, 100, seed=42)
     assert np.array_equal(pts, again)
+
+
+def test_numpy_generators_are_refused_by_name():
+    # Samples and probes are drawn from random.Random; a numpy Generator
+    # passed where one is expected is a TypeError that says so.
+    M = euclidean_manifold(2)
+    generator = np.random.default_rng(0)
+    with pytest.raises(TypeError, match=r"^seed must be an int or a str, not Generator$"):
+        sample_points(M.domain, 3, seed=generator)
+    with pytest.raises(TypeError, match=r"^rng must be a random\.Random, not Generator$"):
+        M.domain.sample(generator, 3)
+    state = SampleState(sample_points(M.domain, 3, seed=0), M)
+    with pytest.raises(TypeError, match=r"^rng must be a random\.Random, not Generator$"):
+        state.unit_probes(generator, ())
 
 
 def test_initial_point_outside_domain_rejected():

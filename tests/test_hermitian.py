@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -120,13 +121,13 @@ def test_nabla_phi_metric_antisymmetry(r4, canonical, twisted, samples):
 
 
 def test_check_structure_canonical(r4, canonical, samples):
-    rep = check_structure(r4, canonical, samples, rng=np.random.default_rng(4))
+    rep = check_structure(r4, canonical, samples, rng=random.Random(4))
     assert rep.passed
     assert rep.max_residual < 1e-12
 
 
 def test_check_structure_twisted(r4, twisted, samples):
-    rep = check_structure(r4, twisted, samples, rng=np.random.default_rng(5))
+    rep = check_structure(r4, twisted, samples, rng=random.Random(5))
     assert rep.passed
 
 
@@ -136,7 +137,7 @@ def test_check_structure_identity_matrix_fails(r4, samples):
     eye = AlmostComplexField(
         [[Const(1.0 if i == j else 0.0) for j in range(4)] for i in range(4)]
     )
-    rep = check_structure(r4, eye, samples[:5], rng=np.random.default_rng(6))
+    rep = check_structure(r4, eye, samples[:5], rng=random.Random(6))
     assert not rep.passed
     assert rep.details["square_residual"] > 1.0
 
@@ -147,7 +148,7 @@ def test_check_structure_empty_samples(r4, canonical):
 
 
 def test_check_nearly_kaehler_canonical(r4, canonical, samples):
-    rep = check_nearly_kaehler(r4, canonical, samples, rng=np.random.default_rng(7))
+    rep = check_nearly_kaehler(r4, canonical, samples, rng=random.Random(7))
     assert rep.passed
     assert rep.details["kaehler"]
     assert rep.max_residual < 1e-12
@@ -155,7 +156,7 @@ def test_check_nearly_kaehler_canonical(r4, canonical, samples):
 
 
 def test_check_nearly_kaehler_twisted_fails(r4, twisted, samples):
-    rep = check_nearly_kaehler(r4, twisted, samples, rng=np.random.default_rng(8))
+    rep = check_nearly_kaehler(r4, twisted, samples, rng=random.Random(8))
     assert not rep.passed
     per_sample = np.array(rep.details["per_sample"])
     assert (per_sample > 1e-3).mean() >= 0.9
@@ -163,7 +164,7 @@ def test_check_nearly_kaehler_twisted_fails(r4, twisted, samples):
 
 def test_kaehler_zero_implies_nearly_kaehler_zero(r4, canonical, twisted, samples):
     for J in (canonical, twisted):
-        rep = check_nearly_kaehler(r4, J, samples, rng=np.random.default_rng(9))
+        rep = check_nearly_kaehler(r4, J, samples, rng=random.Random(9))
         nk = np.array(rep.details["per_sample"])
         ka = np.array(rep.details["kaehler_per_sample"])
         mask = ka <= 1e-10

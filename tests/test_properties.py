@@ -17,6 +17,7 @@ check's record the same to the bit.
 
 import json
 import math
+import random
 import sys
 from pathlib import Path
 from unittest import mock
@@ -47,8 +48,8 @@ from riemsub.expr import (
     parse,
     partials,
 )
-from riemsub.cli import CHECKS, _Run, _run_checks, run_scenario
-from riemsub.geometry import ExclusionTube, VectorField, box_domain, christoffel, sample_points
+from riemsub.cli import CHECKS, _Run, _run_checks, run_scenario, streams
+from riemsub.geometry import ExclusionTube, VectorField, box_domain, christoffel, sample_points, uniforms
 from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
 from riemsub.presets import canonical_phi
 from riemsub.scenario import load_scenario, resolve_scenario_path
@@ -693,8 +694,8 @@ def _point_checks(sc, flips=None) -> str:
     basis vectors to negate before any check reads them: the vertical and
     the horizontal ones, then the vertical ones of each state at the
     stencil points along a vertical basis vector."""
-    rngs = [np.random.default_rng(x) for x in np.random.SeedSequence(sc.sampling.seed).spawn(5)]
-    state = SampleState(sample_points(sc.M.domain, _SIGN_POINTS, rngs[0]), sc.M, sc.F, sc.J, sc.f)
+    rngs = streams(sc.sampling.seed)
+    state = SampleState(sc.M.domain.sample(rngs[0], _SIGN_POINTS), sc.M, sc.F, sc.J, sc.f)
     if flips is not None:
         vertical, horizontal, *stencils = flips
         _flip(state, "vertical", vertical)
@@ -727,3 +728,32 @@ def test_point_checks_do_not_depend_on_frame_signs(pattern):
     # residuals and details included, is the same to the bit.
     name, flips = pattern
     assert _point_checks(_SIGN_SCENARIOS[name], flips) == _UNFLIPPED[name]
+
+
+# ---------------------------------------------------------------------------
+# Sample points and probes from random.Random
+# ---------------------------------------------------------------------------
+
+_rng_seeds = st.integers(0, 2**64) | st.text(max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rng_seeds, st.integers(0, 300))
+def test_uniforms_are_53_bit_fractions_of_the_seed(seed, count):
+    u = uniforms(random.Random(seed), count)
+    assert u.shape == (count,) and u.dtype == np.float64
+    assert ((0.0 <= u) & (u < 1.0)).all()
+    whole = u * 2.0**53  # exact: a power-of-two scale
+    assert (whole == np.floor(whole)).all()
+    assert u.tobytes() == uniforms(random.Random(seed), count).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SIGN_SCENARIOS)), _rng_seeds, st.lists(st.integers(1, 3), max_size=2))
+def test_unit_probes_are_finite_g_unit_vectors(name, seed, shape):
+    sc = _SIGN_SCENARIOS[name]
+    state = SampleState(sample_points(sc.M.domain, 7, seed), sc.M)
+    probes = state.unit_probes(random.Random(seed), tuple(shape))
+    assert probes.shape == (7, *shape, sc.M.dim)
+    assert np.isfinite(probes).all()
+    assert abs(state.norm(probes) - 1.0).max() <= 1e-15

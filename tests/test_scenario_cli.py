@@ -340,7 +340,7 @@ _CONFORMAL_INF = _with(MINIMAL, source={
             ["geodesic"], _with(_H2XH2, clairaut={"f": "x4 + 1e300"}),
             "DomainError: exponential overflows in exp(x4 + 1e+300)", id="geodesic-overflowing-exp-f",
         ),
-        # numpy's seed sequence takes nonnegative integers only.
+        # A seed is a nonnegative integer.
         pytest.param(
             ["check", "--seed", "-1"], MINIMAL,
             "--seed: must be nonnegative", id="negative-seed",
@@ -378,7 +378,7 @@ _CONFORMAL_INF = _with(MINIMAL, source={
             "source.domain.intervals[0]: width hi - lo must be finite", id="interval-width-overflows",
         ),
         # The target metric is validated at every mapped sample: with seed 1
-        # the first image with x1 <= 0.5 is that of sample 75 (counting from 0).
+        # the first image with x1 <= 0.5 is that of sample 100 (counting from 0).
         pytest.param(
             ["check", "--seed", "1"],
             _with(_EXAMPLE_II, target=dict(_EXAMPLE_II["target"], metric=[
@@ -823,15 +823,15 @@ def test_each_sample_frame_is_built_once(monkeypatch):
     # states, two window states and, per geodesic, one series state for
     # each block of samples.
     built, drawn, in_series = [], [], []
-    original_bases, original_points = state.vertical_bases, cli.sample_points
+    original_bases, original_sample = state.vertical_bases, geometry.SamplingDomain.sample
     original_series = clairaut.invariant_series
 
     def counted_bases(F, points, metric, jacobian):
         built.append((np.array(points), bool(in_series)))
         return original_bases(F, points, metric, jacobian)
 
-    def recorded_points(*args):
-        drawn.append(original_points(*args))
+    def recorded_sample(*args):
+        drawn.append(original_sample(*args))
         return drawn[-1]
 
     def flagged_series(sc, traj):
@@ -842,7 +842,7 @@ def test_each_sample_frame_is_built_once(monkeypatch):
             in_series.pop()
 
     monkeypatch.setattr(state, "vertical_bases", counted_bases)
-    monkeypatch.setattr(cli, "sample_points", recorded_points)
+    monkeypatch.setattr(geometry.SamplingDomain, "sample", recorded_sample)
     monkeypatch.setattr(clairaut, "invariant_series", flagged_series)
     run_scenario(resolve_scenario_path("example-ii"))
     series_blocks = [BLOCK] * (2001 // BLOCK) + [2001 % BLOCK]
@@ -854,6 +854,25 @@ def test_each_sample_frame_is_built_once(monkeypatch):
     assert len(samples) == 200
     for p in samples:
         assert (points == p).all(axis=1).sum() == 1
+
+
+def test_commands_do_not_load_numpy_random():
+    # Samples and probes come from random.Random: importing numpy.random
+    # would add its C extensions to every command's peak memory.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemsub.__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from riemsub.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['check', 'example-ii']), main(['geodesic', 'example-ii'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"
 
 
 def test_readme_lists_every_check():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from conftest import metric_norm, one_row
@@ -212,9 +214,9 @@ def test_tensor_A_basic_field_identity(map_ii, samples_ii):
 
 def test_check_skew(map_i, map_ii, samples_ii):
     samples = sample_points(map_i.source.domain, 40, seed=2)
-    rep_i = check_skew(map_i, samples, rng=np.random.default_rng(2))
+    rep_i = check_skew(map_i, samples, rng=random.Random(2))
     assert rep_i.passed and rep_i.max_residual < 1e-12
-    rep_ii = check_skew(map_ii, samples_ii, rng=np.random.default_rng(2))
+    rep_ii = check_skew(map_ii, samples_ii, rng=random.Random(2))
     assert rep_ii.passed
     assert rep_ii.max_residual < 1e-8
 
