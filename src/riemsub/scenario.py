@@ -195,6 +195,9 @@ def load_scenario(path) -> ScenarioBundle:
         raise ScenarioValidationError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ScenarioValidationError(f"{path}: not valid YAML {_yaml_error(exc)}") from None
+    except RecursionError:
+        # PyYAML's composer recurses once per level of nesting.
+        raise ScenarioValidationError(f"{path}: not valid YAML: nested too deeply") from None
     return build_scenario(raw, str(path))
 
 

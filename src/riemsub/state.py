@@ -10,11 +10,14 @@ vertical and horizontal bases, the derivative of the vertical projector,
 O'Neill's fiber-shape tensor on vertical frame pairs, phi with its
 derivatives, and the gradient of the exponent.
 
-The split at each point comes from a rank-revealing SVD of the Jacobian,
-one stacked ``np.linalg.svd`` for all points: the vertical space is the
-null space, the horizontal space its metric-orthogonal complement, both
-orthonormalized in the source metric with a deterministic sign rule
-(largest-magnitude component positive).
+The vertical space at each point is the null space of the Jacobian ``A``,
+the horizontal space its metric-orthogonal complement, both orthonormalized
+in the source metric with a deterministic sign rule (largest-magnitude
+component positive).  Where a determinant bound on ``A A^T`` proves
+``sigma_min(A) / sigma_max(A) > RANK_RTOL``, the null space is read off the
+projector ``I - A^T (A A^T)^-1 A`` by pivoted deflation (``null_rows``); the
+Jacobians it cannot certify take one stacked ``np.linalg.svd``, which also
+decides and reports rank deficiency.
 
 Vectors handed to the methods carry the sample axis first and any probe
 axes after it, ``(N, ..., m)``.  The one-point helpers that remain
@@ -31,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import partials
-from .geometry import RANK_RTOL, christoffel, uniforms
+from .geometry import RANK_RTOL, christoffel, det_clears, uniforms
 
 
 class SubmersionError(Exception):
@@ -153,17 +156,52 @@ def _orthonormalize(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _fix_sign(rows)
 
 
+def null_rows(jacobian: np.ndarray) -> tuple:
+    """Orthonormal rows ``(N, m - n, m)`` spanning the null spaces of the
+    Jacobians ``A`` ``(N, n, m)``, from the projectors
+    ``P = I - A^T (A A^T)^-1 A``, and the mask of the Jacobians whose rows
+    these are: those where the determinant bound on ``A A^T`` proves
+    ``sigma_min(A) / sigma_max(A) > RANK_RTOL``.  Other rows are left unset."""
+    N, n, m = jacobian.shape
+    top = abs(jacobian).max((1, 2))
+    done = np.flatnonzero(np.isfinite(top) & (top > 0))
+    A = jacobian[done] / top[done, None, None]  # scaled so that A A^T cannot overflow
+    G = A @ A.swapaxes(1, 2)
+    trace = np.trace(G, axis1=1, axis2=2)
+    keep = det_clears(np.linalg.det(G), trace, n, RANK_RTOL**2 * trace)
+    done, A, G = done[keep], A[keep], G[keep]
+    P = np.eye(m) - A.swapaxes(1, 2) @ np.linalg.solve(G, A)
+    # Pivoted deflation: the column of largest norm, normalized, then
+    # removed from P, which stays the projector onto what is left.
+    rows, k = np.empty((N, m - n, m)), np.arange(len(done))
+    for r in range(m - n):
+        sq = (P * P).sum(1)
+        j = sq.argmax(-1)
+        e = P[k, :, j] / np.sqrt(sq[k, j])[:, None]
+        P = P - e[:, :, None] * e[:, None, :]
+        rows[done, r] = e
+    certified = np.zeros(N, dtype=bool)
+    certified[done] = True
+    return rows, certified
+
+
 def vertical_bases(F, points: np.ndarray, metric: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
     """g-orthonormal bases ``(N, m - n, m)`` of the Jacobian null spaces at
-    the points ``(N, m)``, from one stacked SVD: the frame builder."""
+    the points ``(N, m)``: the frame builder.  The Jacobians that
+    ``null_rows`` cannot certify take one stacked SVD, which reports rank
+    deficiency."""
     n = F.target.dim
-    _, s, vt = np.linalg.svd(jacobian)
-    # The singular values come sorted: full rank when the smallest counts.
-    cutoff = RANK_RTOL * np.maximum(s[:, 0], 1e-300)
-    if (s[:, -1] <= cutoff).any():
-        i = np.flatnonzero(s[:, -1] <= cutoff)[0]
-        raise RankDeficiencyError(points[i], int((s[i] > cutoff[i]).sum()), n)
-    return _orthonormalize(vt[:, n:], metric)
+    rows, certified = null_rows(jacobian)
+    if not certified.all():
+        rest = np.flatnonzero(~certified)
+        _, s, vt = np.linalg.svd(jacobian[rest])
+        # The singular values come sorted: full rank when the smallest counts.
+        cutoff = RANK_RTOL * np.maximum(s[:, 0], 1e-300)
+        if (s[:, -1] <= cutoff).any():
+            i = np.flatnonzero(s[:, -1] <= cutoff)[0]
+            raise RankDeficiencyError(points[rest[i]], int((s[i] > cutoff[i]).sum()), n)
+        rows[rest] = vt[:, n:]
+    return _orthonormalize(rows, metric)
 
 
 def horizontal_bases(metric: np.ndarray, jacobian: np.ndarray) -> np.ndarray:

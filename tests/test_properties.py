@@ -15,11 +15,13 @@ displaced points) is the reference for the analytic ``tensor_T`` /
 check's record the same to the bit.
 """
 
+import contextlib
 import json
 import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -49,11 +51,32 @@ from riemsub.expr import (
     partials,
 )
 from riemsub.cli import CHECKS, _Run, _run_checks, run_scenario, streams
-from riemsub.geometry import ExclusionTube, VectorField, box_domain, christoffel, sample_points, uniforms
+from riemsub.geometry import (
+    RANK_RTOL,
+    ExclusionTube,
+    GeometryError,
+    ManifoldSpec,
+    VectorField,
+    _check_invertible,
+    _invertible,
+    _positive_definite,
+    box_domain,
+    christoffel,
+    sample_points,
+    uniforms,
+)
 from riemsub.hermitian import AlmostComplexField, _nabla_phi, nabla_phi
 from riemsub.presets import canonical_phi
 from riemsub.scenario import load_scenario, resolve_scenario_path
-from riemsub.state import STENCIL_OFFSETS, SampleState, _oneill, stencil_points
+from riemsub.state import (
+    STENCIL_OFFSETS,
+    RankDeficiencyError,
+    SampleState,
+    _oneill,
+    null_rows,
+    stencil_points,
+    vertical_bases,
+)
 from riemsub.submersion import (
     _projected_derivative,
     build_frame,
@@ -593,6 +616,150 @@ def test_frame_splits_at_ties(a, s1, s2, x3):
 def test_frame_splits_warped(x1, x2, x3, x4):
     for F in _WARPED_MAPS:
         _assert_frame_splits(F, np.array([x1, x2, x3, x4]))
+
+
+# ---------------------------------------------------------------------------
+# Certified frames and metrics against the exact SVD and eigvalsh tests
+# ---------------------------------------------------------------------------
+
+
+def _orthogonal(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diagonal(r))
+
+
+def _jacobian(rng, n, m, singular_values):
+    """``U diag(s) W^T`` ``(n, m)`` and the exact null-space projector ``I - W_n W_n^T``."""
+    W = _orthogonal(rng, m)[:, :n]
+    return (_orthogonal(rng, n) * singular_values) @ W.T, np.eye(m) - W @ W.T
+
+
+def _spd(rng, m):
+    """A random metric with eigenvalues in [0.5, 4], exactly symmetric."""
+    Q = _orthogonal(rng, m)
+    g = (Q * rng.uniform(0.5, 4.0, m)) @ Q.T
+    return 0.5 * (g + g.T)
+
+
+def _bases(jacobian, metric, exact=False):
+    """The frame builder's basis, or with ``exact`` the one of its SVD path
+    alone; or the type and message of what it raises."""
+    N, n, m = jacobian.shape
+    F = SimpleNamespace(target=SimpleNamespace(dim=n))
+    points = np.arange(N * m, dtype=float).reshape(N, m)  # a distinct point per row
+
+    def uncertified(A):
+        return np.empty((N, m - n, m)), np.zeros(N, dtype=bool)
+
+    with mock.patch("riemsub.state.null_rows", uncertified) if exact else contextlib.nullcontext():
+        try:
+            return vertical_bases(F, points, metric, jacobian)
+        except RankDeficiencyError as exc:
+            return type(exc), str(exc)
+
+
+def _sign_rule_holds(V):
+    mags = abs(V)
+    first = np.argmax(mags >= (1.0 - 1e-9) * mags.max(-1, keepdims=True), axis=-1)
+    return (np.take_along_axis(V, first[..., None], -1) > 0.0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 7), st.integers(1, 3), st.integers(1, 4), _seeds)
+def test_certified_frames_span_the_svd_frames(m, corank, count, seed):
+    rng = np.random.default_rng(seed)
+    n = m - corank
+    scale = 10.0 ** rng.uniform(-3, 3, count)
+    J = np.array([_jacobian(rng, n, m, scale[i] * rng.uniform(1.0, 10.0, n))[0] for i in range(count)])
+    g = np.array([_spd(rng, m) for _ in range(count)])
+    assert null_rows(J)[1].all()
+    V, exact = _bases(J, g), _bases(J, g, exact=True)
+    projector = V.swapaxes(1, 2) @ V @ g
+    assert abs(projector - exact.swapaxes(1, 2) @ exact @ g).max() <= 1e-12
+    assert abs(V @ g @ V.swapaxes(1, 2) - np.eye(corank)).max() <= 1e-12
+    assert _sign_rule_holds(V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 2), st.lists(st.floats(-10.0, -5.0), min_size=1, max_size=3), _seeds)
+def test_certified_frames_never_pass_what_the_svd_rejects(m, corank, log_ratios, seed):
+    # sigma_min / sigma_max from 1e-10 to 1e-5: on both sides of RANK_RTOL
+    # and of the smallest ratio the bound certifies.
+    rng = np.random.default_rng(seed)
+    n = m - corank
+    J = np.array([
+        _jacobian(rng, n, m, np.r_[1.0, rng.uniform(10.0**r, 1.0, max(n - 2, 0)), 10.0**r][-n:])[0]
+        for r in log_ratios
+    ])
+    g = np.array([_spd(rng, m) for _ in log_ratios])
+    exact = _bases(J, g, exact=True)
+    certified = null_rows(J)[1]
+    for i in range(len(J)):
+        if isinstance(_bases(J[i:i + 1], g[i:i + 1], exact=True), tuple):
+            assert not certified[i]
+    outcome = _bases(J, g)
+    if isinstance(exact, tuple):
+        assert outcome == exact
+    else:
+        assert not isinstance(outcome, tuple)
+
+
+def test_an_uncertified_row_takes_the_svd_and_spans_the_null_space():
+    rng = np.random.default_rng(3)
+    m, n = 5, 3
+    # sigma_min / sigma_max: 0.5, 1e-7 (not certified, full rank), 0.3.
+    rows = [_jacobian(rng, n, m, [1.0, 0.5, smallest]) for smallest in (0.5, 1e-7, 0.3)]
+    J = np.array([A for A, _ in rows])
+    g = np.array([_spd(rng, m) for _ in rows])
+    assert null_rows(J)[1].tolist() == [True, False, True]
+    V = _bases(J, g)
+    assert V[1].tobytes() == _bases(J[1:2], g[1:2], exact=True)[0].tobytes()
+    for i in (0, 2):
+        assert V[i].tobytes() == _bases(J[i:i + 1], g[i:i + 1])[0].tobytes()
+    for i, (_, null) in enumerate(rows):
+        # m - n g-orthonormal vectors in the exact null space.
+        assert abs(V[i] @ g[i] @ V[i].T - np.eye(m - n)).max() <= 1e-12
+        assert abs(null @ V[i].T - V[i].T).max() <= 1e-7
+
+
+def _metric_outcomes(g, certify):
+    """What ``_check_invertible`` and ``validate`` do with the constant metric
+    ``g``, with or without the determinant bound."""
+    m = len(g)
+    M = ManifoldSpec(m, [[Const(float(v)) for v in row] for row in g], box_domain(m, -1.0, 1.0))
+    outcomes = []
+    with contextlib.ExitStack() as stack:
+        if not certify:
+            stack.enter_context(mock.patch("riemsub.geometry._invertible", lambda g: False))
+            stack.enter_context(mock.patch("riemsub.geometry._positive_definite", lambda S, floor: False))
+        for run in (lambda: _check_invertible(g, np.zeros(m)), lambda: M.validate(np.zeros(m))):
+            try:
+                outcomes.append(run())
+            except GeometryError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.floats(-10.0, -4.0), st.booleans(), _seeds)
+def test_certified_metrics_never_pass_what_svd_or_eigvalsh_rejects(m, log_ratio, indefinite, seed):
+    # Smallest to largest |eigenvalue| from 1e-10 to 1e-4, on both sides of
+    # RANK_RTOL and of the smallest ratio the bound certifies; an indefinite
+    # metric is invertible but not positive definite.
+    rng = np.random.default_rng(seed)
+    eigenvalues = np.r_[1.0, rng.uniform(10.0**log_ratio, 1.0, m - 2), 10.0**log_ratio]
+    if indefinite:
+        eigenvalues = eigenvalues * rng.choice([-1.0, 1.0], m)
+    Q = _orthogonal(rng, m)
+    g = (Q * (eigenvalues * 10.0 ** rng.uniform(-3, 3))) @ Q.T
+    g = 0.5 * (g + g.T)
+    exact = _metric_outcomes(g, certify=False)
+    if exact[0] is not None:
+        assert not _invertible(g)
+    if exact[1] is not None:
+        floor = RANK_RTOL * abs(np.diagonal(g)).max()
+        assert not _positive_definite(g[None], np.array([floor]))
+    assert _metric_outcomes(g, certify=True) == exact
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,9 @@ with open(resolve_scenario_path("h2xh2")) as _fh:
 
 
 def _write(tmp_path, doc, name="scenario.yaml"):
+    """``doc`` dumped as YAML to ``name``, or written as it is when it is text."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     return path
 
 
@@ -384,6 +385,12 @@ _CONFORMAL_INF = _with(MINIMAL, source={
             _with(_EXAMPLE_II, target=dict(_EXAMPLE_II["target"], metric=[
                 ["1", "0", "0"], ["0", "x1 - 0.5", "0"], ["0", "0", "1"]])),
             "error: GeometryError: metric not positive definite at [", id="target-metric-late-sample",
+        ),
+        # PyYAML's composer recurses once per level: 5,000 levels exceed
+        # Python's recursion limit.
+        pytest.param(
+            ["check"], "name: " + "[" * 5000 + "]" * 5000 + "\n",
+            "not valid YAML: nested too deeply", id="yaml-nested-too-deeply",
         ),
         # Output files under a directory that does not exist ({missing}).
         pytest.param(
@@ -873,6 +880,26 @@ def test_commands_do_not_load_numpy_random():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] []\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "example-ii"], 0),
+    (["check", _WARPED_FILE], 1),
+    (["geodesic", "example-ii"], 0),
+], ids=["check-example-ii", "check-warped", "geodesic-example-ii"])
+def test_well_conditioned_runs_call_no_svd_or_eigvalsh(argv, code, monkeypatch, capsys):
+    # The determinant bound certifies every frame and metric of these runs,
+    # so LAPACK's SVD and eigvalsh code is never loaded into their memory.
+    assert main(argv) == code
+    expected = capsys.readouterr().out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a well-conditioned run called an SVD or eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected
 
 
 def test_readme_lists_every_check():
