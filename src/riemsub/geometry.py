@@ -19,15 +19,6 @@ import numpy as np
 from .expr import Add, Const, Div, Expr, ExprArray, ExprError, Mul, Neg, Sub, Var, _define, _walk, blocks, is_zero, parse, partials
 
 RANK_RTOL = 1e-8
-# A square M with |det M| / ||M||^(k-1) > s floor has sigma_min(M) > floor,
-# since |det M| <= sigma_min(M) sigma_max(M)^(k-1) and sigma_max(M) <= ||M||
-# (Frobenius norm, or the trace of a positive semi-definite M).  Forming M
-# (A A^T for the frame builder) and its LU or Cholesky factor perturbs M by a
-# few (k^2 + m) unit roundoffs of its norm, and the unit roundoff, 2^-53, is
-# about RANK_RTOL^2, the frame builder's floor: the safety factor s keeps that
-# perturbation inside the margin for dimensions into the tens.  A matrix the
-# bound does not certify takes the exact SVD or eigvalsh test.
-DET_SAFETY = 1024.0
 _MAX_SAMPLE_TRIES = 10_000
 # Most RK4 steps one integration takes: every step keeps its sample, so a
 # finite but huge length/step would run until memory runs out.
@@ -203,10 +194,9 @@ class ManifoldSpec:
     def validate(self, samples) -> None:
         """Check symmetry and positive definiteness at the given points,
         stacked; raise for the first point that fails.  A metric value that
-        is not finite is singular, as in :func:`_inverse`.  The symmetric
-        parts pass when a Cholesky factor and the determinant bound prove
-        every smallest eigenvalue above the floor; otherwise ``eigvalsh``
-        decides."""
+        is not finite is singular, as in :func:`_inverse`.  A diagonal
+        metric is tested entry by entry, as its eigenvalues are its diagonal
+        entries; any other by ``eigvalsh``."""
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
         g = self.metric_at(pts)
         finite = np.isfinite(g).all((1, 2))
@@ -216,10 +206,11 @@ class ManifoldSpec:
         half, halfT = 0.5 * g, 0.5 * g.swapaxes(1, 2)
         sym = finite & (abs(half - halfT) <= 0.5e-12 * np.maximum(1.0, abs(g).max((1, 2)))[:, None, None]).all((1, 2))
         floor = RANK_RTOL * np.maximum(abs(np.diagonal(g, axis1=1, axis2=2)).max(-1), 1e-300)
-        ok = sym.copy()
-        S = (half + halfT)[sym]
-        if not _positive_definite(S, floor[sym]):
-            ok[sym] = np.linalg.eigvalsh(S).min(-1) > floor[sym]
+        if self.is_diagonal:
+            ok = sym & (np.diagonal(g, axis1=1, axis2=2).min(-1) > floor)
+        else:
+            ok = sym.copy()
+            ok[sym] = np.linalg.eigvalsh((half + halfT)[sym]).min(-1) > floor[sym]
         if not ok.all():
             i = np.argmin(ok)
             if not finite[i]:
@@ -252,50 +243,11 @@ def _inverse(M: ManifoldSpec, point, g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def det_clears(det, norm, k: int, floor) -> np.ndarray:
-    """Whether ``|det M| / norm**(k - 1) > DET_SAFETY * floor``, for each
-    ``k x k`` matrix M of a stack given its determinant and a bound ``norm``
-    on its largest singular value: where it holds, ``sigma_min(M) > floor``."""
-    return abs(det) > DET_SAFETY * floor * norm ** (k - 1)
-
-
-def _positive_definite(S: np.ndarray, floor: np.ndarray) -> bool:
-    """Whether a Cholesky factor and the determinant bound prove that every
-    symmetric ``S`` of the stack has smallest eigenvalue above its ``floor``."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    # Scaled by the largest diagonal entry, which a Cholesky factor makes
-    # positive, so that the product neither overflows nor needs a division
-    # by zero: det(S / top) and trace(S / top) <= k.
-    diagonal = np.diagonal(S, axis1=-2, axis2=-1)
-    top = diagonal.max(-1)
-    q = np.diagonal(L, axis1=-2, axis2=-1) / np.sqrt(top)[:, None]
-    return det_clears(np.prod(q * q, -1), (diagonal / top[:, None]).sum(-1), S.shape[-1], floor / top).all()
-
-
-def _invertible(g: np.ndarray) -> bool:
-    """Whether the determinant bound proves ``sigma_min(g) > RANK_RTOL
-    ||g||_F`` for every finite ``g`` (one, or a stack); the Frobenius norm is
-    at least the largest diagonal entry, the SVD test's scale."""
-    top = abs(g).max((-2, -1))
-    if not (top > 0).all():
-        return False
-    h = g / top[..., None, None]  # scaled so that neither norm nor det overflows
-    norm = np.sqrt((h * h).sum((-2, -1)))
-    return det_clears(np.linalg.det(h), norm, g.shape[-1], RANK_RTOL * norm).all()
-
-
 def _check_invertible(g: np.ndarray, point) -> None:
     """Raise for the first of the metrics ``g`` (one, or a stack at the
     points ``point``) that is numerically singular.  A metric with a NaN or
-    inf entry is singular.  A finite stack the determinant bound certifies
-    is invertible; any other takes the SVD test, and LAPACK's SVD is handed
-    finite matrices only."""
+    inf entry is singular; LAPACK's SVD is handed finite matrices only."""
     finite = np.isfinite(g).all((-2, -1))
-    if finite.all() and _invertible(g):
-        return
     scale = np.maximum(abs(np.diagonal(g, axis1=-2, axis2=-1)).max(-1), 1e-300)
     sigma = np.linalg.svd(np.where(finite[..., None, None], g, 0.0), compute_uv=False).min(-1)
     singular = ~finite | (sigma <= RANK_RTOL * scale)
@@ -352,7 +304,7 @@ def christoffel(M: ManifoldSpec, point) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     if M.is_flat_constant:
         if not M._invertible:
-            _check_invertible(M.metric_at(p), p)
+            M.inverse_metric_at(p)
             M._invertible = True
         return np.zeros(p.shape[:-1] + (M.dim, M.dim, M.dim))
     try:

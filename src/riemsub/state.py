@@ -14,10 +14,10 @@ The vertical space at each point is the null space of the Jacobian ``A``,
 the horizontal space its metric-orthogonal complement, both orthonormalized
 in the source metric with a deterministic sign rule (largest-magnitude
 component positive).  Where a determinant bound on ``A A^T`` proves
-``sigma_min(A) / sigma_max(A) > RANK_RTOL``, the null space is read off the
-projector ``I - A^T (A A^T)^-1 A`` by pivoted deflation (``null_rows``); the
-Jacobians it cannot certify take one stacked ``np.linalg.svd``, which also
-decides and reports rank deficiency.
+``sigma_min(A) / sigma_max(A) > FRAME_RTOL``, the null space is read off the
+projector ``I - A^T (A A^T)^-1 A`` by pivoted deflation and one
+re-projection (``null_rows``); the Jacobians it cannot certify take one
+stacked ``np.linalg.svd``, which also decides and reports rank deficiency.
 
 Vectors handed to the methods carry the sample axis first and any probe
 axes after it, ``(N, ..., m)``.  The one-point helpers that remain
@@ -34,7 +34,16 @@ from functools import cached_property
 import numpy as np
 
 from .expr import partials
-from .geometry import RANK_RTOL, christoffel, det_clears, uniforms
+from .geometry import RANK_RTOL, christoffel, uniforms
+
+
+# Rounding leaves the projector's null vectors off the null space by about
+# u kappa(A)^2 (u = 2^-53, kappa = sigma_max / sigma_min); one re-projection
+# brings that down to about u kappa(A), an SVD's, while u kappa^2 is small.
+# The projector therefore serves the Jacobians whose kappa the determinant
+# bound proves below 1 / FRAME_RTOL, where u kappa^2 < 2e-8; the SVD serves
+# the rest, rank-deficient ones (kappa > 1 / RANK_RTOL) among them.
+FRAME_RTOL = 1e-4
 
 
 class SubmersionError(Exception):
@@ -157,29 +166,37 @@ def _orthonormalize(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def null_rows(jacobian: np.ndarray) -> tuple:
-    """Orthonormal rows ``(N, m - n, m)`` spanning the null spaces of the
-    Jacobians ``A`` ``(N, n, m)``, from the projectors
+    """Rows ``(N, m - n, m)`` spanning the null spaces of the Jacobians
+    ``A`` ``(N, n, m)``, orthonormal up to rounding, from the projectors
     ``P = I - A^T (A A^T)^-1 A``, and the mask of the Jacobians whose rows
-    these are: those where the determinant bound on ``A A^T`` proves
-    ``sigma_min(A) / sigma_max(A) > RANK_RTOL``.  Other rows are left unset."""
+    these are: those where the determinant bound on ``G = A A^T`` proves
+    ``sigma_min(A) / sigma_max(A) > FRAME_RTOL``.  Other rows are left
+    unset."""
     N, n, m = jacobian.shape
     top = abs(jacobian).max((1, 2))
     done = np.flatnonzero(np.isfinite(top) & (top > 0))
     A = jacobian[done] / top[done, None, None]  # scaled so that A A^T cannot overflow
     G = A @ A.swapaxes(1, 2)
     trace = np.trace(G, axis1=1, axis2=2)
-    keep = det_clears(np.linalg.det(G), trace, n, RANK_RTOL**2 * trace)
+    # The other n - 1 eigenvalues of G sum to at most its trace, so their
+    # product is at most (trace / (n - 1))^(n - 1) and
+    # sigma_min(G) >= det G ((n - 1) / trace)^(n - 1); trace >= sigma_max(G).
+    keep = np.linalg.det(G) * ((n - 1) / trace) ** (n - 1) > FRAME_RTOL**2 * trace
     done, A, G = done[keep], A[keep], G[keep]
-    P = np.eye(m) - A.swapaxes(1, 2) @ np.linalg.solve(G, A)
+    At = A.swapaxes(1, 2)
+    P = np.eye(m) - At @ np.linalg.solve(G, A)
     # Pivoted deflation: the column of largest norm, normalized, then
     # removed from P, which stays the projector onto what is left.
-    rows, k = np.empty((N, m - n, m)), np.arange(len(done))
+    e, k = np.empty((len(done), m - n, m)), np.arange(len(done))
     for r in range(m - n):
+        if r:
+            P = P - e[:, r - 1, :, None] * e[:, r - 1, None, :]
         sq = (P * P).sum(1)
         j = sq.argmax(-1)
-        e = P[k, :, j] / np.sqrt(sq[k, j])[:, None]
-        P = P - e[:, :, None] * e[:, None, :]
-        rows[done, r] = e
+        e[:, r] = P[k, :, j] / np.sqrt(sq[k, j])[:, None]
+    # One re-projection, e -= A^T G^-1 A e: see FRAME_RTOL.
+    rows = np.empty((N, m - n, m))
+    rows[done] = e - (At @ np.linalg.solve(G, A @ e.swapaxes(1, 2))).swapaxes(1, 2)
     certified = np.zeros(N, dtype=bool)
     certified[done] = True
     return rows, certified

@@ -708,3 +708,22 @@ def test_manifold_validate_reports_the_first_failing_point(points, message):
     with pytest.raises(GeometryError) as err:
         M.validate(points)
     assert str(err.value) == f"metric {message}"
+
+
+# x1 on both sides of the floor, RANK_RTOL times the largest diagonal entry
+# (1), negative, zero and not finite.
+@pytest.mark.parametrize("x1", [2e-8, np.nextafter(1e-8, 1.0), 1e-8, 0.5e-8, 0.0, -1.0, np.inf, np.nan])
+def test_diagonal_validate_matches_eigvalsh(x1):
+    diagonal = ["1 + x2^2", "x1", "1"]
+    M = _diagonal_metric(diagonal)
+    twin = _diagonal_metric(diagonal, off="x3 - x3")  # validated by eigvalsh
+    assert M.is_diagonal and not twin.is_diagonal
+    stack = [(0.5, 0.1, 0.2), (x1, 0.0, 0.3), (0.0, 0.2, 0.1)]
+
+    def outcome(manifold):
+        try:
+            return manifold.validate(stack)
+        except GeometryError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(M) == outcome(twin)

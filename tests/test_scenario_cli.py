@@ -888,8 +888,9 @@ def test_commands_do_not_load_numpy_random():
     (["geodesic", "example-ii"], 0),
 ], ids=["check-example-ii", "check-warped", "geodesic-example-ii"])
 def test_well_conditioned_runs_call_no_svd_or_eigvalsh(argv, code, monkeypatch, capsys):
-    # The determinant bound certifies every frame and metric of these runs,
-    # so LAPACK's SVD and eigvalsh code is never loaded into their memory.
+    # The determinant bound certifies every frame of these runs and their
+    # metrics are diagonal, so LAPACK's SVD and eigvalsh code is never
+    # loaded into their memory.
     assert main(argv) == code
     expected = capsys.readouterr().out
 
