@@ -411,9 +411,8 @@ class GeodesicTrajectory:
         velocities = np.asarray(velocities, dtype=float)
         energies = np.empty(len(velocities))
         for b in blocks(len(velocities)):
-            # ``v @ g @ v`` per sample, bit for bit (einsum sums in another order)
             v = velocities[b]
-            energies[b] = (v[:, None] @ M.metric_at(points[b]) @ v[..., None])[:, 0, 0]
+            energies[b] = np.einsum("ni,nij,nj->n", v, M.metric_at(points[b]), v)
         drift = float(abs(energies - energies[0]).max()) if len(energies) else 0.0
         return cls(s, points, velocities, float(step), energies, drift)
 

@@ -19,6 +19,15 @@ projector ``I - A^T (A A^T)^-1 A`` by pivoted deflation and one
 re-projection (``null_rows``); the Jacobians it cannot certify take one
 stacked ``np.linalg.svd``, which also decides and reports rank deficiency.
 
+Each Gram matrix (``A A^T`` for the frames, ``A K A^T`` for the projector
+derivative) is factored once by the stacked Cholesky kernel ``cholesky``,
+whose factor gives the determinant and every solve; the small matrix
+products are ``np.einsum`` calls with explicit subscripts.  So a state whose
+Jacobians are certified and whose metric is diagonal calls neither BLAS nor
+LAPACK: LAPACK is left to the Jacobians the bound rejects, to the rows whose
+Cholesky fails (a metric that is not positive definite) and to non-diagonal
+metrics (``geometry._inverse``).
+
 Vectors handed to the methods carry the sample axis first and any probe
 axes after it, ``(N, ..., m)``.  The one-point helpers that remain
 (``build_frame``, ``tensor_T``, ``tensor_A``, ``nabla_phi`` and
@@ -149,7 +158,7 @@ def _fix_sign(rows: np.ndarray) -> np.ndarray:
 def _orthonormalize(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g-orthonormal rows ``(N, r, m)`` by Gram-Schmidt, skipped at points
     whose rows already are; then the sign rule."""
-    gram = rows @ g @ rows.swapaxes(1, 2)
+    gram = np.einsum("nri,nij,nsj->nrs", rows, g, rows)
     done = abs(gram - np.eye(rows.shape[1])).max(axis=(1, 2), initial=0.0) < 1e-13
     if not done.all():
         todo = np.flatnonzero(~done)
@@ -165,26 +174,69 @@ def _orthonormalize(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _fix_sign(rows)
 
 
+def cholesky(S: np.ndarray) -> tuple:
+    """Lower-triangular factors ``L`` ``(N, n, n)`` with ``L L^T = S`` of the
+    symmetric matrices ``S`` ``(N, n, n)``, one column at a time over the
+    whole stack (Golub & Van Loan, *Matrix Computations*, 4.2), and the mask
+    of the rows whose pivots are all positive and finite.  A row whose pivot
+    is not (``S`` indefinite, singular or not finite) holds NaN or inf from
+    that column on and raises no warning; only the mask tells.  No row is
+    swapped or gathered, so each row has the same bits in any stack."""
+    N, n, _ = S.shape
+    L = np.zeros_like(S)
+    ok = np.ones(N, dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            d = S[:, j, j] - np.einsum("nk,nk->n", L[:, j, :j], L[:, j, :j])
+            ok &= (d > 0.0) & (d < np.inf)
+            L[:, j, j] = np.sqrt(d)
+            below = S[:, j + 1:, j] - np.einsum("nik,nk->ni", L[:, j + 1:, :j], L[:, j, :j])
+            L[:, j + 1:, j] = below / L[:, j, j, None]
+    return L, ok
+
+
+def forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``L^-1 B`` for the factors ``L`` of :func:`cholesky` and ``B`` ``(N, n, r)``."""
+    Y = np.empty_like(B)
+    with np.errstate(all="ignore"):  # the rows ``cholesky`` did not pass
+        for i in range(B.shape[1]):
+            Y[:, i] = (B[:, i] - np.einsum("nk,nkr->nr", L[:, i, :i], Y[:, :i])) / L[:, i, i, None]
+    return Y
+
+
+def back_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``L^-T B`` for the factors ``L`` of :func:`cholesky` and ``B`` ``(N, n, r)``."""
+    X = np.empty_like(B)
+    with np.errstate(all="ignore"):
+        for i in reversed(range(B.shape[1])):
+            X[:, i] = (B[:, i] - np.einsum("nk,nkr->nr", L[:, i + 1:, i], X[:, i + 1:])) / L[:, i, i, None]
+    return X
+
+
 def null_rows(jacobian: np.ndarray) -> tuple:
     """Rows ``(N, m - n, m)`` spanning the null spaces of the Jacobians
     ``A`` ``(N, n, m)``, orthonormal up to rounding, from the projectors
     ``P = I - A^T (A A^T)^-1 A``, and the mask of the Jacobians whose rows
     these are: those where the determinant bound on ``G = A A^T`` proves
-    ``sigma_min(A) / sigma_max(A) > FRAME_RTOL``.  Other rows are left
-    unset."""
+    ``sigma_min(A) / sigma_max(A) > FRAME_RTOL``.  ``G`` is factored once,
+    ``G = L L^T`` (:func:`cholesky`): ``det G`` is the product of the
+    ``L_jj^2``, and with ``Y = L^-1 A`` the projector is ``I - Y^T Y``.  A
+    ``G`` with a pivot that is not positive is not certified.  Other rows
+    are left unset."""
     N, n, m = jacobian.shape
     top = abs(jacobian).max((1, 2))
     done = np.flatnonzero(np.isfinite(top) & (top > 0))
     A = jacobian[done] / top[done, None, None]  # scaled so that A A^T cannot overflow
-    G = A @ A.swapaxes(1, 2)
+    G = np.einsum("nai,nbi->nab", A, A)
+    L, positive = cholesky(G)
     trace = np.trace(G, axis1=1, axis2=2)
     # The other n - 1 eigenvalues of G sum to at most its trace, so their
     # product is at most (trace / (n - 1))^(n - 1) and
     # sigma_min(G) >= det G ((n - 1) / trace)^(n - 1); trace >= sigma_max(G).
-    keep = np.linalg.det(G) * ((n - 1) / trace) ** (n - 1) > FRAME_RTOL**2 * trace
-    done, A, G = done[keep], A[keep], G[keep]
-    At = A.swapaxes(1, 2)
-    P = np.eye(m) - At @ np.linalg.solve(G, A)
+    det = np.prod(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=-1)
+    keep = positive & (det * ((n - 1) / trace) ** (n - 1) > FRAME_RTOL**2 * trace)
+    done, Y = done[keep], forward_solve(L[keep], A[keep])
+    P = np.eye(m) - np.einsum("nai,naj->nij", Y, Y)
     # Pivoted deflation: the column of largest norm, normalized, then
     # removed from P, which stays the projector onto what is left.
     e, k = np.empty((len(done), m - n, m)), np.arange(len(done))
@@ -194,9 +246,9 @@ def null_rows(jacobian: np.ndarray) -> tuple:
         sq = (P * P).sum(1)
         j = sq.argmax(-1)
         e[:, r] = P[k, :, j] / np.sqrt(sq[k, j])[:, None]
-    # One re-projection, e -= A^T G^-1 A e: see FRAME_RTOL.
+    # One re-projection, e -= e Y^T Y (A^T G^-1 A e on each row): see FRAME_RTOL.
     rows = np.empty((N, m - n, m))
-    rows[done] = e - (At @ np.linalg.solve(G, A @ e.swapaxes(1, 2))).swapaxes(1, 2)
+    rows[done] = e - np.einsum("nra,naj->nrj", np.einsum("nri,nai->nra", e, Y), Y)
     certified = np.zeros(N, dtype=bool)
     certified[done] = True
     return rows, certified
@@ -221,11 +273,11 @@ def vertical_bases(F, points: np.ndarray, metric: np.ndarray, jacobian: np.ndarr
     return _orthonormalize(rows, metric)
 
 
-def horizontal_bases(metric: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
+def horizontal_bases(metric: np.ndarray, inverse_metric: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
     """g-orthonormal bases ``(N, n, m)`` of the complements of the null spaces."""
     # The g-orthocomplement of the kernel is the inverse-metric image of
     # the Jacobian row space.
-    comp = np.linalg.solve(metric, jacobian.swapaxes(1, 2)).swapaxes(1, 2)
+    comp = np.einsum("nij,naj->nai", inverse_metric, jacobian)
     return _orthonormalize(comp, metric)
 
 
@@ -311,7 +363,7 @@ class SampleState:
     def horizontal(self) -> np.ndarray:
         """g-orthonormal horizontal bases ``(N, n, m)``."""
         self.vertical  # a rank-deficient Jacobian is reported there
-        return horizontal_bases(self.metric, self.jacobian)
+        return horizontal_bases(self.metric, self.inverse_metric, self.jacobian)
 
     @cached_property
     def vertical_stencils(self) -> tuple:
@@ -338,18 +390,26 @@ class SampleState:
             dP_V = -P_V K (dA^T Z - dG P_H) - K Z^T dA P_V
 
         with ``dA`` from the map's Hessian and ``dG`` from the metric
-        derivatives.
+        derivatives.  ``Z`` comes from one :func:`cholesky` of ``A K A^T``;
+        a row where that fails, where the metric is not positive definite,
+        is solved by LAPACK.
         """
         g, K, A, V = self.metric, self.inverse_metric, self.jacobian, self.vertical
-        Z = np.linalg.solve(A @ K @ A.swapaxes(1, 2), A)
-        pv = V.swapaxes(1, 2) @ V @ g
+        S = np.einsum("nai,nij,nbj->nab", A, K, A)
+        L, positive = cholesky(S)
+        Z = back_solve(L, forward_solve(L, A))
+        if not positive.all():  # the metric is not positive definite here
+            rest = np.flatnonzero(~positive)
+            Z[rest] = np.linalg.solve(S[rest], A[rest])
+        pv = np.einsum("nki,nkl->nil", V, np.einsum("nkj,njl->nkl", V, g))
         H = self.hessian  # [n, a, i, l] = d_l A[n, a, i]
         X = np.einsum("nail,naj->nlij", H, Z)
         if not self.M.is_flat_constant:
-            X = X - self.M.metric_derivs_at(self.points) @ (np.eye(self.M.dim) - pv)[:, None]
+            X = X - np.einsum("nlij,njk->nlik", self.M.metric_derivs_at(self.points), np.eye(self.M.dim) - pv)
         return (
-            -(pv @ K)[:, None] @ X
-            - (K @ Z.swapaxes(1, 2))[:, None] @ H.transpose(0, 3, 1, 2) @ pv[:, None]
+            -np.einsum("nij,nljk->nlik", np.einsum("nij,njk->nik", pv, K), X)
+            - np.einsum("nia,nlak->nlik", np.einsum("nij,naj->nia", K, Z),
+                        np.einsum("najl,njk->nlak", H, pv))
         )
 
     @cached_property
@@ -376,7 +436,7 @@ class SampleState:
     @cached_property
     def grad_f(self) -> np.ndarray:
         """Metric gradient ``g^{kj} d_j f`` of the exponent ``f``."""
-        return (self.inverse_metric @ self.df[..., None])[..., 0]
+        return np.einsum("nkj,nj->nk", self.inverse_metric, self.df)
 
 
 def _oneill(st: SampleState, kind: str, e, fp, fjac=None) -> np.ndarray:

@@ -285,7 +285,7 @@ def test_blocks_match_the_whole_trajectory_bit_for_bit(curve, n, scenario_ii):
     for got, want in zip(invariant_series(sc, traj), _whole_series(sc, traj)):
         assert got.tobytes() == want.tobytes()
     v = traj.velocities
-    energies = (v[:, None] @ sc.M.metric_at(traj.points) @ v[..., None])[:, 0, 0]
+    energies = np.einsum("ni,nij,nj->n", v, sc.M.metric_at(traj.points), v)
     assert traj.energies.tobytes() == energies.tobytes()
     assert traj.energy_drift == float(abs(energies - energies[0]).max())
 

@@ -20,6 +20,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -61,6 +62,9 @@ from riemsub.state import (
     RankDeficiencyError,
     SampleState,
     _oneill,
+    back_solve,
+    cholesky,
+    forward_solve,
     null_rows,
     stencil_points,
     vertical_bases,
@@ -727,6 +731,148 @@ def test_an_uncertified_row_takes_the_svd_and_spans_the_null_space():
         # m - n g-orthonormal vectors in the exact null space.
         assert abs(V[i] @ g[i] @ V[i].T - np.eye(m - n)).max() <= 1e-12
         assert abs(null @ V[i].T - V[i].T).max() <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The stacked Cholesky kernel against LAPACK
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _gram_stack(rng, n, m, count, log_ratio):
+    """``S = A K A^T`` ``(count, n, n)``, exactly symmetric, and the ``A``:
+    each ``A`` full rank with ``sigma_min / sigma_max`` in
+    ``[10^log_ratio, 1]``, each ``K`` a positive diagonal."""
+    S, A = [], []
+    for _ in range(count):
+        ratio = 10.0 ** rng.uniform(log_ratio, 0.0)
+        s = np.r_[1.0, rng.uniform(ratio, 1.0, max(n - 2, 0)), ratio][-n:] * 10.0 ** rng.uniform(-3, 3)
+        a = _jacobian(rng, n, m, s)[0]
+        S.append((a * rng.uniform(0.5, 4.0, m)) @ a.T)
+        A.append(a)
+    S = np.array(S)
+    return 0.5 * (S + S.swapaxes(1, 2)), np.array(A)
+
+
+def _cholesky_solve(L, B):
+    return back_solve(L, forward_solve(L, B))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 7))),
+       st.integers(1, 5), st.floats(math.log10(FRAME_RTOL), 0.0), _seeds)
+def test_stacked_cholesky_matches_lapack_row_by_row(shape, count, log_ratio, seed):
+    # kappa(A) up to 1 / FRAME_RTOL, the largest the frame certificate
+    # passes, so kappa(S) up to about 1e9.
+    (n, m), rng = shape, np.random.default_rng(seed)
+    S, A = _gram_stack(rng, n, m, count, log_ratio)
+    L, ok = cholesky(S)
+    assert ok.all()
+    assert (np.triu(L, 1) == 0.0).all() and (np.diagonal(L, axis1=1, axis2=2) > 0.0).all()
+    scale = abs(S).max((1, 2))
+    assert (abs(L @ L.swapaxes(1, 2) - S).max((1, 2)) <= 2 * (n + 1) * _EPS * scale).all()
+    X, want = _cholesky_solve(L, A), np.linalg.solve(S, A)
+    err = abs(X - want).max((1, 2)) / abs(want).max((1, 2))
+    assert (err <= 8 * n * _EPS * np.linalg.cond(S)).all()
+    for i in range(count):
+        alone, alone_ok = cholesky(S[i:i + 1])
+        assert alone_ok[0] and alone.tobytes() == L[i:i + 1].tobytes()
+        assert _cholesky_solve(alone, A[i:i + 1]).tobytes() == X[i:i + 1].tobytes()
+
+
+def test_cholesky_flags_indefinite_and_singular_rows_without_a_warning():
+    rng = np.random.default_rng(5)
+    S, A = _gram_stack(rng, 3, 5, 5, -2.0)
+    S[1] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # eigenvalues 3, 1, -1
+    S[3] = [[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]]  # rank 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L, ok = cholesky(S)
+        X = _cholesky_solve(L, A)
+    assert ok.tolist() == [True, False, True, False, True]
+    for i in (0, 2, 4):
+        assert L[i].tobytes() == cholesky(S[i:i + 1])[0][0].tobytes()
+        assert X[i].tobytes() == _cholesky_solve(L[i:i + 1], A[i:i + 1])[0].tobytes()
+
+
+def _flat_state(metric, inverse_metric, jacobian, seed):
+    """A state on a flat metric with the given metric, inverse and
+    Jacobians, a random vertical basis and a random Hessian."""
+    rng = np.random.default_rng(seed)
+    N, n, m = jacobian.shape
+    st_ = SampleState(np.zeros((N, m)), SimpleNamespace(is_flat_constant=True, dim=m))
+    st_.__dict__.update(
+        metric=metric, inverse_metric=inverse_metric, jacobian=jacobian,
+        vertical=rng.standard_normal((N, m - n, m)), hessian=rng.standard_normal((N, n, m, m)),
+    )
+    return st_
+
+
+def _projector_derivs_by_lapack(st_):
+    g, K, A, V, H = st_.metric, st_.inverse_metric, st_.jacobian, st_.vertical, st_.hessian
+    Z = np.linalg.solve(A @ K @ A.swapaxes(1, 2), A)
+    pv = V.swapaxes(1, 2) @ V @ g
+    X = np.einsum("nail,naj->nlij", H, Z)
+    return -(pv @ K)[:, None] @ X - (K @ Z.swapaxes(1, 2))[:, None] @ H.transpose(0, 3, 1, 2) @ pv[:, None]
+
+
+def _spy_on_solve(monkeypatch):
+    handed, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        handed.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return handed
+
+
+def test_projector_derivs_hand_unfactored_rows_to_lapack(monkeypatch):
+    # The inverse metric is negative at one entry of row 1, as where a metric
+    # is not positive definite, and A K A^T there is indefinite.
+    rng = np.random.default_rng(8)
+    n, m = 2, 4
+    A = np.array([_jacobian(rng, n, m, rng.uniform(1.0, 3.0, n))[0] for _ in range(3)])
+    K = np.zeros((3, m, m))
+    K[:, range(m), range(m)] = rng.uniform(0.5, 4.0, (3, m))
+    K[1, 2, 2] = -40.0
+    S = np.einsum("nai,nij,nbj->nab", A, K, A)
+    assert np.linalg.eigvalsh(S[1]).min() < 0.0 < np.linalg.eigvalsh(S[[0, 2]]).min()
+    st_ = _flat_state(np.linalg.inv(K), K, A, 8)
+    want = _projector_derivs_by_lapack(st_)
+    handed = _spy_on_solve(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = st_.projector_derivs
+    assert [a.tobytes() for a in handed] == [S[1:2].tobytes()]
+    assert abs(got - want).max() <= 1e-12 * abs(want).max()
+
+
+def test_singular_rows_still_stop_at_lapack(monkeypatch):
+    # A K A^T singular at row 1 (K has a zero entry there): LAPACK's solve
+    # decides, and raises, as it did for the whole stack.
+    rng = np.random.default_rng(9)
+    n, m = 2, 4
+    A = np.zeros((2, n, m))
+    A[:, range(n), range(n)] = 1.0
+    K = np.zeros((2, m, m))
+    K[:, range(m), range(m)] = rng.uniform(0.5, 4.0, (2, m))
+    K[1, 1, 1] = 0.0
+    st_ = _flat_state(np.eye(m)[None].repeat(2, 0), K, A, 9)
+    handed = _spy_on_solve(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError):
+        st_.projector_derivs
+    assert len(handed) == 1 and len(handed[0]) == 1
+    # In null_rows the same failed pivot (a zero row of the Jacobian) leaves
+    # the row to the SVD, which reports the rank.
+    J = np.array([_jacobian(rng, 3, 5, [1.0, 0.8, 0.5])[0] for _ in range(3)])
+    J[1, 2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert null_rows(J)[1].tolist() == [True, False, True]
+        assert _bases(J, np.array([_spd(rng, 5) for _ in range(3)])) == (
+            RankDeficiencyError, "Jacobian rank 2 (expected 3) at [5.0, 6.0, 7.0, 8.0, 9.0]")
 
 
 # ---------------------------------------------------------------------------

@@ -887,18 +887,23 @@ def test_commands_do_not_load_numpy_random():
     (["check", _WARPED_FILE], 1),
     (["geodesic", "example-ii"], 0),
 ], ids=["check-example-ii", "check-warped", "geodesic-example-ii"])
-def test_well_conditioned_runs_call_no_svd_or_eigvalsh(argv, code, monkeypatch, capsys):
-    # The determinant bound certifies every frame of these runs and their
-    # metrics are diagonal, so LAPACK's SVD and eigvalsh code is never
-    # loaded into their memory.
+def test_well_conditioned_runs_call_nothing_in_numpy_linalg(argv, code, monkeypatch, capsys):
+    # The determinant bound certifies every frame of these runs, their Gram
+    # matrices factor with the stacked Cholesky of riemsub.state and their
+    # metrics are diagonal, so no LAPACK code is loaded into their memory.
     assert main(argv) == code
     expected = capsys.readouterr().out
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a well-conditioned run called an SVD or eigvalsh")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"a well-conditioned run called numpy.linalg.{name}")
+        return refused
 
-    monkeypatch.setattr(np.linalg, "svd", refused)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    public = [name for name in np.linalg.__all__
+              if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)]
+    assert {"svd", "eigvalsh", "solve", "det", "inv", "cholesky"} <= set(public)
+    for name in public:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
     assert main(argv) == code
     assert capsys.readouterr().out == expected
 
